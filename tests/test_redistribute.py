@@ -1,5 +1,7 @@
 """Tests for incremental redeclustering (farm expansion)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     minimax_expand,
     movement_fraction,
 )
+from repro.datasets import build_gridfile, load
 from repro.sim import evaluate_queries, square_queries
 
 L2 = np.array([10.0, 10.0])
@@ -146,6 +149,27 @@ class TestMinimaxExpandRegression:
         assert counts.max() <= -(-n // m_new)
         # Moves go exclusively to the new disks; old disks only shed load.
         assert (new[new != old] >= m_old).all()
+
+
+#: sha256 over the int64 bytes of ``minimax_expand`` growing a seed-1996
+#: minimax layout from 8 to 12 disks, on every bucket region of the grid file
+#: ``build_gridfile(load(name, rng=1996))``.  Any change to the steal loop or
+#: its proximity rows that moves a single bucket breaks the pin.
+EXPAND_GOLDEN = {
+    "hot.2d": "8d9c7b005c6b514e68e65c2bc5aa1d6fbc390edf1b80bcdebefbf7b61e69aee5",
+    "dsmc.3d": "48f7048ae6d5bea6dd406051c1eff005e434c1281f7b6b98579b6b5e417b78b0",
+    "stock.3d": "5d10cc5196968c3c8198ae35a1ee6ea3f8ef9b6365379667f7360224722180ba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPAND_GOLDEN))
+def test_minimax_expand_byte_identical_on_grid_file(name):
+    gf = build_gridfile(load(name, rng=1996))
+    lo, hi = gf.bucket_regions()
+    old = Minimax().assign(gf, 8, rng=1996)
+    new = minimax_expand(lo, hi, gf.scales.lengths, old, 8, 12, rng=1996)
+    blob = np.ascontiguousarray(new, dtype=np.int64).tobytes()
+    assert hashlib.sha256(blob).hexdigest() == EXPAND_GOLDEN[name]
 
 
 class TestBoundedReconcile:
