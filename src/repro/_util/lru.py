@@ -1,7 +1,7 @@
 """A fixed-capacity LRU set of keys.
 
 Shared by the cluster simulator (per-node buffer caches of disk blocks,
-:mod:`repro.parallel.cache`) and the paged-directory model
+:mod:`repro.parallel.node`) and the paged-directory model
 (:mod:`repro.gridfile.paged`).  A hit refreshes recency; an overflowing
 insert evicts the least recently used key.
 """

@@ -29,7 +29,12 @@ import numpy as np
 
 from repro._util import as_rng, check_positive_int
 from repro.core.base import DeclusteringMethod, validate_assignment
-from repro.core.proximity import euclidean_similarity, pairwise_rows, proximity_index
+from repro.core.proximity import (
+    FactoredProximity,
+    euclidean_similarity,
+    pairwise_rows,
+    proximity_index,
+)
 from repro.gridfile.gridfile import GridFile
 from repro.obs import GLOBAL_METRICS, PROFILER
 
@@ -37,7 +42,8 @@ __all__ = ["Minimax", "minimax_partition", "resolve_cache_bytes", "CACHE_BYTES_E
 
 _WEIGHTS = {"proximity": proximity_index, "euclidean": euclidean_similarity}
 
-#: Default memory cap for the precomputed pairwise weight matrix (bytes).
+#: Default memory cap for the precomputed pairwise weight matrix, and for
+#: the factor tables of factored proximity rows (bytes).
 #: 256 MiB holds the full matrix for ~5,800 buckets — comfortably above the
 #: paper's 2-d/3-d files, well below its 19,956-bucket 4-d file.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
@@ -92,20 +98,37 @@ def _weight_cache(weight_fn, lo, hi, lengths, cache_bytes: int) -> "np.ndarray |
     return pairwise_rows(weight_fn, lo, hi, lengths, block)
 
 
-def _farthest_point_seeds(lo, hi, lengths, m, rng) -> np.ndarray:
-    """Greedy max-min (k-center) seeding: spread seeds across the domain."""
-    n = lo.shape[0]
+def _farthest_point_seeds(prox_row, n, m, rng) -> np.ndarray:
+    """Greedy max-min (k-center) seeding: spread seeds across the domain.
+
+    ``prox_row(y)`` returns a fresh proximity row of bucket ``y``.
+    """
     seeds = [int(rng.integers(n))]
     # Track, for each bucket, the max similarity to any chosen seed (lower =
     # farther); pick the bucket minimizing it.
-    best_sim = proximity_index(lo[seeds[0]], hi[seeds[0]], lo, hi, lengths)
+    best_sim = prox_row(seeds[0])
     for _ in range(m - 1):
         best_sim[seeds] = np.inf
         nxt = int(np.argmin(best_sim))
         seeds.append(nxt)
-        sim = proximity_index(lo[nxt], hi[nxt], lo, hi, lengths)
-        np.maximum(best_sim, sim, out=best_sim)
+        np.maximum(best_sim, prox_row(nxt), out=best_sim)
     return np.asarray(seeds, dtype=np.int64)
+
+
+def _factored(
+    weight: str, precompute, lo, hi, lengths, cache_bytes: int
+) -> "FactoredProximity | None":
+    """Factored proximity rows when they apply, timed as ``minimax.weights``.
+
+    They apply to the paper's weight unless a dense matrix is forced
+    (``precompute=True``), and only under the size rule of
+    :meth:`FactoredProximity.build` with the tables capped at
+    ``cache_bytes``, the same budget as the dense matrix.
+    """
+    if weight != "proximity" or precompute is True:
+        return None
+    with PROFILER.phase("minimax.weights"):
+        return FactoredProximity.build(lo, hi, lengths, cache_bytes)
 
 
 def minimax_partition(
@@ -143,19 +166,25 @@ def minimax_partition(
         overrides ``seeding``.  Used by tests to compare against reference
         implementations step by step.
     precompute:
-        ``"auto"`` (default): blockwise-precompute the full pairwise weight
-        matrix when it fits under ``cache_bytes``, so the O(N²) expansion
-        reads cached rows instead of re-materializing one row per step.
-        ``True`` forces precomputation, ``False`` always streams rows.  The
-        result is bit-for-bit identical either way.
+        With the proximity weight and ``"auto"`` (default) or ``False``,
+        rows are gathered from per-dimension factor tables
+        (:class:`~repro.core.proximity.FactoredProximity`) whenever those
+        are no larger than the dense matrix and fit under ``cache_bytes``
+        — always so for grid-file buckets.  Otherwise ``"auto"`` blockwise-precomputes the full
+        pairwise weight matrix when it fits under ``cache_bytes``, so the
+        O(N²) expansion reads cached rows instead of re-materializing one
+        row per step.  ``True`` forces the dense matrix, ``False`` never
+        builds it.  The result is bit-for-bit identical either way.
     cache_bytes:
-        Memory cap (bytes) for the precomputed matrix under ``"auto"``;
-        ``None`` (default) consults the ``REPRO_MINIMAX_CACHE_BYTES``
-        environment knob and falls back to :data:`DEFAULT_CACHE_BYTES`.
+        Memory cap (bytes) for the factor tables, and for the dense matrix
+        under ``"auto"``; ``0`` streams every row through the formula.  ``None``
+        (default) consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment
+        knob and falls back to :data:`DEFAULT_CACHE_BYTES`.
     rows:
-        Optional externally precomputed ``(n, n)`` pairwise weight matrix
-        (e.g. shared across the disk counts of a sweep); takes precedence
-        over ``precompute``.
+        Optional external row source (e.g. shared across the disk counts
+        of a sweep): a precomputed ``(n, n)`` pairwise weight matrix, or a
+        :class:`~repro.core.proximity.FactoredProximity` of these boxes
+        (proximity weight only).  Takes precedence over ``precompute``.
 
     Returns
     -------
@@ -178,28 +207,36 @@ def minimax_partition(
 
     if precompute not in (True, False, "auto"):
         raise ValueError(f"precompute must be True, False or 'auto', got {precompute!r}")
-    cache = rows
-    if cache is not None:
-        if cache.shape != (n, n):
-            raise ValueError(f"rows must have shape ({n}, {n}), got {cache.shape}")
-    elif precompute is True:
-        block = max(1, _CACHE_BLOCK_BYTES // max(1, n * lo.shape[1] * 8))
-        with PROFILER.phase("minimax.weights"):
-            cache = pairwise_rows(weight_fn, lo, hi, lengths, block)
-    elif precompute == "auto":
-        with PROFILER.phase("minimax.weights"):
-            cache = _weight_cache(weight_fn, lo, hi, lengths, resolve_cache_bytes(cache_bytes))
+    source = rows
+    if isinstance(source, FactoredProximity):
+        if source.n != n:
+            raise ValueError(f"rows must cover {n} boxes, got {source.n}")
+    elif source is not None:
+        if source.shape != (n, n):
+            raise ValueError(f"rows must have shape ({n}, {n}), got {source.shape}")
+    else:
+        budget = resolve_cache_bytes(cache_bytes)
+        source = _factored(weight, precompute, lo, hi, lengths, budget)
+        if source is None and precompute is True:
+            block = max(1, _CACHE_BLOCK_BYTES // max(1, n * lo.shape[1] * 8))
+            with PROFILER.phase("minimax.weights"):
+                source = pairwise_rows(weight_fn, lo, hi, lengths, block)
+        elif source is None and precompute == "auto":
+            with PROFILER.phase("minimax.weights"):
+                source = _weight_cache(weight_fn, lo, hi, lengths, budget)
 
     cache_hits = GLOBAL_METRICS.counter("minimax.cache.hits")
     cache_misses = GLOBAL_METRICS.counter("minimax.cache.misses")
     weight_rows = GLOBAL_METRICS.counter("minimax.weight_rows")
 
     def weight_row(y: int) -> np.ndarray:
-        if cache is not None:
+        if isinstance(source, np.ndarray):
             cache_hits.inc()
-            return cache[y]
+            return source[y]
         cache_misses.inc()
         weight_rows.inc()
+        if source is not None:
+            return source.row(y)
         return weight_fn(lo[y], hi[y], lo, hi, lengths)
 
     # Phase 1: seeding.
@@ -210,32 +247,35 @@ def minimax_partition(
     elif seeding == "random":
         seeds = rng.choice(n, size=m, replace=False).astype(np.int64)
     elif seeding == "farthest":
-        seeds = _farthest_point_seeds(lo, hi, lengths, m, rng)
+        if isinstance(source, FactoredProximity):
+            prox_row = source.row
+        else:
+            def prox_row(y: int) -> np.ndarray:
+                return proximity_index(lo[y], hi[y], lo, hi, lengths)
+        seeds = _farthest_point_seeds(prox_row, n, m, rng)
     else:
         raise ValueError(f"unknown seeding {seeding!r}")
 
     assign = np.full(n, -1, dtype=np.int64)
     assign[seeds] = np.arange(m)
-    unassigned = np.ones(n, dtype=bool)
-    unassigned[seeds] = False
 
-    # MAX_x(K): max edge weight from bucket x to members of tree K.
-    max_w = np.empty((n, m), dtype=np.float64)
+    # MAX_x(K): max edge weight from bucket x to members of tree K, one
+    # contiguous row per tree so argmin/maximum stream over memory.
+    max_w = np.empty((m, n), dtype=np.float64)
     for k in range(m):
-        max_w[:, k] = weight_row(int(seeds[k]))
-    max_w[~unassigned, :] = np.inf  # never re-select assigned buckets
+        max_w[k] = weight_row(int(seeds[k]))
+    max_w[:, seeds] = np.inf  # never re-select assigned buckets
 
     # Phase 2: round-robin expansion.
     GLOBAL_METRICS.counter("minimax.growth_steps").inc(n - m)
     with PROFILER.phase("minimax.partition"):
         k = 0
         for _ in range(n - m):
-            y = int(np.argmin(max_w[:, k]))
+            tree = max_w[k]
+            y = int(np.argmin(tree))
             assign[y] = k
-            unassigned[y] = False
-            row = weight_row(y)
-            np.maximum(max_w[:, k], row, out=max_w[:, k])
-            max_w[y, :] = np.inf
+            np.maximum(tree, weight_row(y), out=tree)
+            max_w[:, y] = np.inf
             k = (k + 1) % m
     return assign
 
@@ -251,12 +291,14 @@ class Minimax(DeclusteringMethod):
     seeding:
         Seed placement, ``"random"`` (default) or ``"farthest"``.
     precompute:
-        Row-cache policy passed to :func:`minimax_partition` — ``"auto"``
-        (default) precomputes the pairwise weight matrix blockwise when it
-        fits under ``cache_bytes``; assignments are identical either way.
+        Row-source policy passed to :func:`minimax_partition` — ``"auto"``
+        (default) uses factored proximity rows on grid files and otherwise
+        precomputes the pairwise weight matrix blockwise when it fits under
+        ``cache_bytes``; assignments are identical either way.
     cache_bytes:
-        Memory cap for the row cache (bytes); ``None`` (default) consults
-        the ``REPRO_MINIMAX_CACHE_BYTES`` environment knob.
+        Memory cap for the factor tables and the dense row cache (bytes);
+        ``None`` (default) consults the ``REPRO_MINIMAX_CACHE_BYTES``
+        environment knob.
 
     Notes
     -----
@@ -283,28 +325,29 @@ class Minimax(DeclusteringMethod):
         if weight != "proximity" or seeding != "random":
             self.name = f"MiniMax[{weight},{seeding}]"
         # Memoized (lo, hi, rows) of the last grid file declustered, so a
-        # sweep over disk counts computes the O(N²) weight matrix once.
-        self._rows_memo: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+        # sweep over disk counts builds its row source once.
+        self._rows_memo: "tuple[np.ndarray, np.ndarray, object] | None" = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_rows_memo"] = None  # never ship the O(N²) cache to workers
         return state
 
-    def _cached_rows(self, lo: np.ndarray, hi: np.ndarray, lengths) -> "np.ndarray | None":
-        """Pairwise weight rows for these regions, memoized across calls."""
+    def _cached_rows(self, lo: np.ndarray, hi: np.ndarray, lengths):
+        """Row source for these regions, memoized across calls.
+
+        Factored rows when they apply, else the dense weight matrix when it
+        fits under ``cache_bytes``, else ``None`` (rows are streamed).
+        """
         if self.precompute is False:
             return None
         memo = self._rows_memo
         if memo is not None and np.array_equal(memo[0], lo) and np.array_equal(memo[1], hi):
             return memo[2]
-        rows = _weight_cache(
-            _WEIGHTS[self.weight],
-            lo,
-            hi,
-            np.asarray(lengths, dtype=np.float64),
-            self.cache_bytes,
-        )
+        lengths = np.asarray(lengths, dtype=np.float64)
+        rows = _factored(self.weight, self.precompute, lo, hi, lengths, self.cache_bytes)
+        if rows is None:
+            rows = _weight_cache(_WEIGHTS[self.weight], lo, hi, lengths, self.cache_bytes)
         self._rows_memo = None if rows is None else (lo.copy(), hi.copy(), rows)
         return rows
 

@@ -13,9 +13,17 @@ Both branches equal 1/3 at a touching boundary, so the index is continuous;
 it lies in ``(0, 1]`` and equals 1 only for two copies of the full domain.
 The Euclidean center distance is provided as the ablation alternative the
 paper argues against (it ignores partial overlap of box-shaped buckets).
+
+Because the index is a product of per-dimension factors, the one-vs-all rows
+the minimax loops consume can be gathered from small per-dimension tables
+(:class:`FactoredProximity`) whenever the boxes take few distinct intervals
+per dimension — always the case for grid-file buckets, whose edges lie on
+scale boundaries.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -23,6 +31,8 @@ __all__ = [
     "proximity_index",
     "proximity_matrix",
     "pairwise_rows",
+    "FactoredProximity",
+    "proximity_rows",
     "center_distance",
     "euclidean_similarity",
 ]
@@ -36,6 +46,16 @@ def _dim_factors(lo_a, hi_a, lo_b, hi_b, lengths):
     gap = np.clip(-inter, 0.0, None) / lengths
     intersecting = inter >= 0
     return np.where(intersecting, (1.0 + 2.0 * delta) / 3.0, (1.0 - gap) ** 2 / 3.0)
+
+
+#: Cells per row block while filling a factor table (4 MiB of float64), so
+#: the temporaries of :func:`_dim_factors` stay small for any table size.
+_TABLE_BLOCK_CELLS = 512 * 1024
+
+
+def _interval_factors(lo_a, hi_a, lo_b, hi_b, length):
+    """:func:`_dim_factors` of one-dimensional boxes, dimension axis dropped."""
+    return _dim_factors(lo_a, hi_a, lo_b, hi_b, length)[..., 0]
 
 
 def proximity_index(lo_a, hi_a, lo_b, hi_b, lengths) -> np.ndarray:
@@ -87,7 +107,8 @@ def proximity_matrix(lo, hi, lengths, block_rows: "int | None" = None) -> np.nda
         per-element arithmetic does not depend on the blocking).
 
     O(n²·d) time; the minimax algorithm uses the blocked form as a row cache
-    when it fits its memory cap, and streams one row at a time otherwise.
+    for boxes :class:`FactoredProximity` rejects, when it fits its memory
+    cap, and streams one row at a time otherwise.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -116,6 +137,91 @@ def pairwise_rows(weight_fn, lo, hi, lengths, block_rows: int) -> np.ndarray:
             lo[s:e, None, :], hi[s:e, None, :], lo[None, :, :], hi[None, :, :], lengths
         )
     return out
+
+
+class FactoredProximity:
+    """Proximity rows of ``n`` boxes gathered from per-dimension tables.
+
+    Per dimension ``j`` every box's ``(lo_j, hi_j)`` interval is coded
+    against the ``U_j`` distinct intervals, and a ``(U_j, U_j)`` table of
+    :func:`_dim_factors` holds every factor once.  :meth:`row` gathers the
+    ``d`` factor rows and multiplies them left to right — the same
+    elementwise arithmetic, in the same order, as ``np.prod(axis=-1)`` in
+    :func:`proximity_index`, so rows are bit-for-bit identical.
+
+    Build with :meth:`build`, which returns ``None`` unless the tables are
+    no larger than the dense ``(n, n)`` matrix (``Σ_j U_j² ≤ n²``) and fit
+    under an optional byte cap.
+    """
+
+    __slots__ = ("codes", "tables")
+
+    def __init__(self, codes: "list[np.ndarray]", tables: "list[np.ndarray]"):
+        self.codes = codes
+        self.tables = tables
+
+    @property
+    def n(self) -> int:
+        """Number of boxes."""
+        return int(self.codes[0].shape[0])
+
+    @classmethod
+    def build(cls, lo, hi, lengths, max_bytes: "int | None" = None) -> "FactoredProximity | None":
+        """Factor tables for ``(n, d)`` boxes, or ``None`` if the rule rejects them.
+
+        Every dimension is coded before any table is built, so rejected
+        boxes cost ``O(n·d log n)`` and ``O(n)`` memory.  The rule admits
+        the boxes when ``Σ_j U_j² ≤ n²`` and, if ``max_bytes`` is given,
+        the float64 tables take at most ``max_bytes``.  Tables are filled
+        in row blocks, so their temporaries stay at a few MiB.
+        """
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        n, d = lo.shape
+        if n == 0 or d == 0:
+            return None
+        limit = n * n if max_bytes is None else min(n * n, max_bytes // 8)
+        lengths = np.broadcast_to(np.asarray(lengths, dtype=np.float64), (d,))
+        coded, cells = [], 0
+        for j in range(d):
+            lo_vals, lo_code = np.unique(lo[:, j], return_inverse=True)
+            hi_vals, hi_code = np.unique(hi[:, j], return_inverse=True)
+            pairs, code = np.unique(lo_code * hi_vals.size + hi_code, return_inverse=True)
+            cells += pairs.size * pairs.size
+            if cells > limit:
+                return None
+            coded.append((lo_vals[pairs // hi_vals.size], hi_vals[pairs % hi_vals.size], code))
+        tables = [
+            pairwise_rows(
+                _interval_factors, ilo[:, None], ihi[:, None], length,
+                max(1, _TABLE_BLOCK_CELLS // ilo.size),
+            )
+            for (ilo, ihi, _), length in zip(coded, lengths)
+        ]
+        return cls([code for _, _, code in coded], tables)
+
+    def row(self, y: int) -> np.ndarray:
+        """``proximity_index(lo[y], hi[y], lo, hi, lengths)``, bit for bit."""
+        codes, tables = self.codes, self.tables
+        out = tables[0][codes[0][y]].take(codes[0])
+        for code, table in zip(codes[1:], tables[1:]):
+            out *= table[code[y]].take(code)
+        return out
+
+
+def proximity_rows(lo, hi, lengths, max_bytes: "int | None" = None) -> Callable[[int], np.ndarray]:
+    """``row(y) -> proximity_index(lo[y], hi[y], lo, hi, lengths)``.
+
+    Rows come from a :class:`FactoredProximity` when its size rule (with
+    ``max_bytes``) admits the boxes, else from the full formula; either way
+    bit for bit the same.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    factored = FactoredProximity.build(lo, hi, lengths, max_bytes)
+    if factored is not None:
+        return factored.row
+    return lambda y: proximity_index(lo[y], hi[y], lo, hi, lengths)
 
 
 def center_distance(lo_a, hi_a, lo_b, hi_b, lengths=None) -> np.ndarray:

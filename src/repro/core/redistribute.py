@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng, check_positive_int
-from repro.core.proximity import proximity_index
+from repro.core.minimax import resolve_cache_bytes
+from repro.core.proximity import proximity_index, proximity_rows
 
 __all__ = [
     "movement_fraction",
@@ -221,9 +222,11 @@ def minimax_expand(
     quota = -(-n // new_disks)
     load = np.bincount(out, minlength=new_disks)
 
-    # max proximity of each bucket to each *new* tree (columns old_disks..).
+    # max proximity of each bucket to each *new* tree (tree t is disk
+    # old_disks + t), one contiguous row per tree.
     n_new = new_disks - old_disks
-    max_w = np.full((n, n_new), -np.inf)
+    max_w = np.full((n_new, n), -np.inf)
+    prox_row = proximity_rows(lo, hi, lengths, resolve_cache_bytes(None))
 
     def steal_candidates():
         over = np.nonzero(load > quota)[0]
@@ -243,7 +246,7 @@ def minimax_expand(
         load[out[seed]] -= 1
         out[seed] = disk
         load[disk] += 1
-        max_w[:, t] = proximity_index(lo[seed], hi[seed], lo, hi, lengths)
+        max_w[t] = prox_row(seed)
 
     # Round-robin growth of the new trees.
     t = 0
@@ -257,12 +260,11 @@ def minimax_expand(
         cand = steal_candidates()
         if cand is None:
             break
-        y = int(cand[np.argmin(max_w[cand, t])])
+        y = int(cand[np.argmin(max_w[t, cand])])
         disk = old_disks + t
         load[out[y]] -= 1
         out[y] = disk
         load[disk] += 1
-        row = proximity_index(lo[y], hi[y], lo, hi, lengths)
-        np.maximum(max_w[:, t], row, out=max_w[:, t])
+        np.maximum(max_w[t], prox_row(y), out=max_w[t])
         t = (t + 1) % n_new
     return out

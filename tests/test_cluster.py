@@ -211,11 +211,3 @@ class TestLoadReportImbalance:
 
     def test_single_zero_node(self):
         assert self._report([0]).imbalance == 1.0
-
-
-def test_cache_shim_reexports_util_lru():
-    """repro.parallel.cache stays importable and is the same class object."""
-    from repro._util.lru import LRUCache as canonical
-    from repro.parallel.cache import LRUCache as shimmed
-
-    assert shimmed is canonical

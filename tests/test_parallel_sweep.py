@@ -160,14 +160,25 @@ class TestBucketSizesCache:
 
 class TestMinimaxPrecomputeParity:
     def test_precompute_modes_identical(self, rng):
+        """Dense, streamed and factored rows give one partition.
+
+        Random float boxes fail the factored size rule (dense cache or
+        full-formula rows); grid-aligned boxes take factored rows under
+        ``False`` and ``"auto"`` and the dense matrix under ``True``.
+        """
         n = 120
+        lengths = np.array([10.0, 10.0, 10.0])
         lo = rng.uniform(0, 9, size=(n, 3))
         hi = np.minimum(lo + rng.uniform(0.05, 0.5, size=(n, 3)), 10.0)
-        lengths = np.array([10.0, 10.0, 10.0])
+        cuts = np.linspace(0.0, 10.0, 9)
+        cell = rng.integers(0, 8, size=(n, 3))
+        grid_lo = cuts[cell]
+        grid_hi = cuts[np.minimum(cell + rng.integers(1, 3, size=(n, 3)), 8)]
         seeds = rng.choice(n, size=8, replace=False)
-        results = [
-            minimax_partition(lo, hi, lengths, 8, seeds=seeds, precompute=mode)
-            for mode in (True, False, "auto")
-        ]
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
+        for box_lo, box_hi in ((lo, hi), (grid_lo, grid_hi)):
+            results = [
+                minimax_partition(box_lo, box_hi, lengths, 8, seeds=seeds, precompute=mode)
+                for mode in (True, False, "auto")
+            ]
+            assert np.array_equal(results[0], results[1])
+            assert np.array_equal(results[0], results[2])
