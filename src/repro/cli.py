@@ -182,7 +182,7 @@ def _engine_params(args, **extra):
 
     Unknown ``--scheduler`` / ``--replica-policy`` names and out-of-range
     admission settings raise ``ValueError`` at ``ParallelGridFile``
-    construction; callers catch it and turn it into a clean CLI error.
+    construction, which :func:`main` turns into a clean CLI error.
     """
     from repro.parallel import ClusterParams
 
@@ -224,12 +224,8 @@ def _cmd_cluster_sim(args) -> int:
     from repro.parallel import ParallelGridFile
 
     ds, gf, method, assignment, queries = _deploy(args)
-    try:
-        params = _engine_params(args, replication=args.scheme)
-        pgf = ParallelGridFile(gf, assignment, args.disks, params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = _engine_params(args, replication=args.scheme)
+    pgf = ParallelGridFile(gf, assignment, args.disks, params)
     rep = pgf.run_queries(queries)
     print(f"dataset            : {ds.name} ({gf.stats()})")
     print(f"method             : {method.name}, disks={args.disks}")
@@ -247,12 +243,8 @@ def _cmd_open_sim(args) -> int:
         print("--rate must be positive", file=sys.stderr)
         return 2
     ds, gf, method, assignment, queries = _deploy(args)
-    try:
-        params = _engine_params(args, replication=args.scheme)
-        pgf = ParallelGridFile(gf, assignment, args.disks, params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = _engine_params(args, replication=args.scheme)
+    pgf = ParallelGridFile(gf, assignment, args.disks, params)
     rep = pgf.run_open(queries, arrival_rate=args.rate, rng=args.seed)
     admission = "unbounded"
     if args.max_inflight is not None or args.deadline is not None:
@@ -312,7 +304,6 @@ def _cmd_online_sim(args) -> int:
     from repro.core import make_placement
     from repro.parallel import DegradationMonitor, OnlineCluster, make_store
     from repro.sim import mixed_workload
-    from repro.storage import StorageError
 
     if not 0.0 <= args.write_ratio <= 1.0:
         print("--write-ratio must be in [0, 1]", file=sys.stderr)
@@ -324,13 +315,9 @@ def _cmd_online_sim(args) -> int:
     gf = build_gridfile(ds)
     method = make_method(args.method)
     assignment = method.assign(gf, args.disks, rng=args.seed)
-    try:
-        store = make_store(
-            gf, backend=args.store, path=args.store_path, durability=args.wal_sync
-        )
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    store = make_store(
+        gf, backend=args.store, path=args.store_path, durability=args.wal_sync
+    )
     ops = mixed_workload(
         args.ops,
         args.write_ratio,
@@ -351,10 +338,6 @@ def _cmd_online_sim(args) -> int:
             store, assignment, args.disks, params=_engine_params(args),
             placement=policy, monitor=monitor, seed=args.seed,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         rep = cluster.run(ops)
     finally:
         if args.store != "memory":
@@ -405,29 +388,25 @@ def _cmd_autoscale_sim(args) -> int:
         plan.join(t)
     for t in args.leave or []:
         plan.leave(t)
-    try:
-        autoscale = AutoscaleParams(
-            policy=args.policy,
-            budget=args.budget,
-            alpha=args.alpha,
-            interval=args.interval,
-            add_heat=args.add_heat,
-            evict_heat=args.evict_heat,
-            min_dwell=args.min_dwell,
-        )
-        params = _engine_params(
-            args, autoscale=autoscale,
-            cache_blocks=args.cache_blocks, pipeline_depth=args.pipeline_depth,
-        )
-        cluster = AutoscaleCluster(
-            gf, assignment, args.disks, params,
-            plan=plan if plan.sorted_events() else None,
-            pool_disks=args.pool_disks,
-            seed=args.seed,
-        )
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    autoscale = AutoscaleParams(
+        policy=args.policy,
+        budget=args.budget,
+        alpha=args.alpha,
+        interval=args.interval,
+        add_heat=args.add_heat,
+        evict_heat=args.evict_heat,
+        min_dwell=args.min_dwell,
+    )
+    params = _engine_params(
+        args, autoscale=autoscale,
+        cache_blocks=args.cache_blocks, pipeline_depth=args.pipeline_depth,
+    )
+    cluster = AutoscaleCluster(
+        gf, assignment, args.disks, params,
+        plan=plan if plan.sorted_events() else None,
+        pool_disks=args.pool_disks,
+        seed=args.seed,
+    )
     rep = cluster.run(queries)
     print(f"dataset            : {ds.name} ({gf.stats()})")
     print(f"method             : {method.name}, disks={args.disks} "
@@ -454,7 +433,7 @@ def _cmd_autoscale_sim(args) -> int:
 def _cmd_fsck(args) -> int:
     from pathlib import Path
 
-    from repro.storage import DATA_FILE, StorageEngine, StorageError
+    from repro.storage import DATA_FILE, StorageEngine
 
     path = Path(args.path)
     if not (path / DATA_FILE).exists():
@@ -462,7 +441,7 @@ def _cmd_fsck(args) -> int:
         return 2
     try:
         eng = StorageEngine(path, backend=args.backend, page_size=args.page_size)
-    except (StorageError, OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -560,19 +539,15 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"bad shape {text!r}; sides must be >= 1")
         return shape
 
-    try:
-        shapes = [parse_shape(s) for s in (args.shape or ["16x16"])]
-        specs = args.methods.split(",") if args.methods else None
-        rows = tightness_report(
-            specs=specs,
-            shapes=shapes,
-            disks=args.disks or [16],
-            rng=args.seed,
-            lower_bound=args.lower,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shapes = [parse_shape(s) for s in (args.shape or ["16x16"])]
+    specs = args.methods.split(",") if args.methods else None
+    rows = tightness_report(
+        specs=specs,
+        shapes=shapes,
+        disks=args.disks or [16],
+        rng=args.seed,
+        lower_bound=args.lower,
+    )
     table = [
         [
             r.spec,
@@ -603,20 +578,16 @@ def _cmd_sql(args) -> int:
     if args.store != "memory" and args.store_path is None:
         print(f"--store {args.store} requires --store-path", file=sys.stderr)
         return 2
-    try:
-        engine = SqlEngine(
-            n_disks=args.disks,
-            params=_engine_params(args),
-            placement=args.placement,
-            method=args.method,
-            store_backend=args.store,
-            store_path=args.store_path,
-            wal_sync=args.wal_sync,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    engine = SqlEngine(
+        n_disks=args.disks,
+        params=_engine_params(args),
+        placement=args.placement,
+        method=args.method,
+        store_backend=args.store,
+        store_path=args.store_path,
+        wal_sync=args.wal_sync,
+        seed=args.seed,
+    )
 
     def run(text: str) -> int:
         try:
@@ -922,9 +893,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Malformed input — a ``ValueError`` or ``StorageError`` from any command
+    — prints ``error: <message>`` to stderr and exits 2, never a traceback.
+    """
+    from repro.storage import StorageError
+
     args = build_parser().parse_args(argv)
     np.set_printoptions(precision=3, suppress=True)
+    try:
+        return _dispatch(args)
+    except (ValueError, StorageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "dataset":

@@ -48,9 +48,14 @@ def _dim_factors(lo_a, hi_a, lo_b, hi_b, lengths):
     return np.where(intersecting, (1.0 + 2.0 * delta) / 3.0, (1.0 - gap) ** 2 / 3.0)
 
 
-#: Cells per row block while filling a factor table (4 MiB of float64), so
-#: the temporaries of :func:`_dim_factors` stay small for any table size.
-_TABLE_BLOCK_CELLS = 512 * 1024
+#: Cells per row block while filling a pairwise matrix or factor table
+#: (4 MiB of float64), so the temporaries of :func:`_dim_factors` stay small
+#: for any matrix size.
+_BLOCK_CELLS = 512 * 1024
+
+#: Cap on the float64 factor tables of one :class:`FactoredProximity`
+#: (256 MiB).  It bounds memory; boxes over it take formula rows.
+_MAX_TABLE_BYTES = 256 * 1024 * 1024
 
 
 def _interval_factors(lo_a, hi_a, lo_b, hi_b, length):
@@ -91,7 +96,7 @@ def proximity_index(lo_a, hi_a, lo_b, hi_b, lengths) -> np.ndarray:
     return np.prod(factors, axis=-1)
 
 
-def proximity_matrix(lo, hi, lengths, block_rows: "int | None" = None) -> np.ndarray:
+def proximity_matrix(lo, hi, lengths) -> np.ndarray:
     """Full pairwise proximity matrix of ``n`` boxes (``(n, n)``, symmetric).
 
     Parameters
@@ -100,22 +105,14 @@ def proximity_matrix(lo, hi, lengths, block_rows: "int | None" = None) -> np.nda
         ``(n, d)`` box bounds.
     lengths:
         Domain extent per dimension.
-    block_rows:
-        When set, the matrix is filled in row blocks of this height, keeping
-        the broadcast temporaries at ``O(block_rows * n * d)`` instead of
-        ``O(n² * d)``.  Entries are bit-for-bit identical either way (the
-        per-element arithmetic does not depend on the blocking).
 
-    O(n²·d) time; the minimax algorithm uses the blocked form as a row cache
-    for boxes :class:`FactoredProximity` rejects, when it fits its memory
-    cap, and streams one row at a time otherwise.
+    O(n²·d) time and an ``(n, n)`` result, filled in row blocks of about
+    4 MiB of broadcast temporaries.  Used where a whole matrix is needed
+    (e.g. the Kernighan–Lin refinement); minimax reads one row per step
+    through :func:`proximity_rows` instead.
     """
     lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if block_rows is None:
-        return proximity_index(
-            lo[:, None, :], hi[:, None, :], lo[None, :, :], hi[None, :, :], lengths
-        )
+    block_rows = _BLOCK_CELLS // max(1, lo.shape[0] * lo.shape[1])
     return pairwise_rows(proximity_index, lo, hi, lengths, block_rows)
 
 
@@ -151,7 +148,7 @@ class FactoredProximity:
 
     Build with :meth:`build`, which returns ``None`` unless the tables are
     no larger than the dense ``(n, n)`` matrix (``Σ_j U_j² ≤ n²``) and fit
-    under an optional byte cap.
+    under a fixed 256 MiB cap.
     """
 
     __slots__ = ("codes", "tables")
@@ -166,21 +163,21 @@ class FactoredProximity:
         return int(self.codes[0].shape[0])
 
     @classmethod
-    def build(cls, lo, hi, lengths, max_bytes: "int | None" = None) -> "FactoredProximity | None":
+    def build(cls, lo, hi, lengths) -> "FactoredProximity | None":
         """Factor tables for ``(n, d)`` boxes, or ``None`` if the rule rejects them.
 
         Every dimension is coded before any table is built, so rejected
         boxes cost ``O(n·d log n)`` and ``O(n)`` memory.  The rule admits
-        the boxes when ``Σ_j U_j² ≤ n²`` and, if ``max_bytes`` is given,
-        the float64 tables take at most ``max_bytes``.  Tables are filled
-        in row blocks, so their temporaries stay at a few MiB.
+        the boxes when ``Σ_j U_j² ≤ n²`` and the float64 tables take at most
+        ``_MAX_TABLE_BYTES``.  Tables are filled in row blocks, so their
+        temporaries stay at a few MiB.
         """
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         n, d = lo.shape
         if n == 0 or d == 0:
             return None
-        limit = n * n if max_bytes is None else min(n * n, max_bytes // 8)
+        limit = min(n * n, _MAX_TABLE_BYTES // 8)
         lengths = np.broadcast_to(np.asarray(lengths, dtype=np.float64), (d,))
         coded, cells = [], 0
         for j in range(d):
@@ -194,7 +191,7 @@ class FactoredProximity:
         tables = [
             pairwise_rows(
                 _interval_factors, ilo[:, None], ihi[:, None], length,
-                max(1, _TABLE_BLOCK_CELLS // ilo.size),
+                _BLOCK_CELLS // ilo.size,
             )
             for (ilo, ihi, _), length in zip(coded, lengths)
         ]
@@ -209,16 +206,16 @@ class FactoredProximity:
         return out
 
 
-def proximity_rows(lo, hi, lengths, max_bytes: "int | None" = None) -> Callable[[int], np.ndarray]:
+def proximity_rows(lo, hi, lengths) -> Callable[[int], np.ndarray]:
     """``row(y) -> proximity_index(lo[y], hi[y], lo, hi, lengths)``.
 
-    Rows come from a :class:`FactoredProximity` when its size rule (with
-    ``max_bytes``) admits the boxes, else from the full formula; either way
-    bit for bit the same.
+    The one place that picks a row source: a :class:`FactoredProximity`
+    when its size rule admits the boxes, else the full formula; either way
+    bit for bit the same, and a fresh array per call.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    factored = FactoredProximity.build(lo, hi, lengths, max_bytes)
+    factored = FactoredProximity.build(lo, hi, lengths)
     if factored is not None:
         return factored.row
     return lambda y: proximity_index(lo[y], hi[y], lo, hi, lengths)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng, check_positive_int
-from repro.core.minimax import resolve_cache_bytes
 from repro.core.proximity import proximity_index, proximity_rows
 
 __all__ = [
@@ -226,7 +225,7 @@ def minimax_expand(
     # old_disks + t), one contiguous row per tree.
     n_new = new_disks - old_disks
     max_w = np.full((n_new, n), -np.inf)
-    prox_row = proximity_rows(lo, hi, lengths, resolve_cache_bytes(None))
+    prox_row = proximity_rows(lo, hi, lengths)
 
     def steal_candidates():
         over = np.nonzero(load > quota)[0]

@@ -49,10 +49,9 @@ import numpy as np
 
 from repro._util import as_rng, check_positive_int
 from repro.core.base import DeclusteringMethod, validate_assignment
-from repro.core.minimax import minimax_partition, resolve_cache_bytes
-from repro.core.proximity import euclidean_similarity, proximity_index
+from repro.core.minimax import _WEIGHTS, minimax_partition
 from repro.obs import GLOBAL_METRICS, PROFILER
-from repro.sfc import CURVES, bits_for
+from repro.sfc import CURVES
 
 __all__ = [
     "DEFAULT_DENSE_THRESHOLD",
@@ -65,8 +64,6 @@ __all__ = [
     "bulk_assign",
     "ScalableMinimax",
 ]
-
-_WEIGHTS = {"proximity": proximity_index, "euclidean": euclidean_similarity}
 
 #: Below this many boxes the exact dense path runs unchanged (bit-for-bit).
 DEFAULT_DENSE_THRESHOLD = 4096
@@ -365,7 +362,6 @@ def scalable_minimax_partition(
     refine_passes: int = 2,
     refine_budget: "int | None" = None,
     graph: "ProximityGraph | None" = None,
-    cache_bytes: "int | None" = None,
 ) -> np.ndarray:
     """Approximate minimax partition scaling to millions of boxes.
 
@@ -393,9 +389,6 @@ def scalable_minimax_partition(
     graph:
         Optional prebuilt :class:`ProximityGraph` (e.g. shared across the
         disk counts of a sweep).
-    cache_bytes:
-        Row-cache cap forwarded to the dense path (both the fallback and
-        the coarse-graph run); ``None`` uses the default / env knob.
 
     Returns
     -------
@@ -412,10 +405,7 @@ def scalable_minimax_partition(
     if balance_slack < 0:
         raise ValueError(f"balance_slack must be >= 0, got {balance_slack}")
     if n <= max(dense_threshold, m) or n <= 2:
-        return minimax_partition(
-            lo, hi, lengths, m, rng=rng, weight=weight, seeding=seeding,
-            cache_bytes=resolve_cache_bytes(cache_bytes),
-        )
+        return minimax_partition(lo, hi, lengths, m, rng=rng, weight=weight, seeding=seeding)
     rng = as_rng(rng)
 
     with PROFILER.phase("minimax.sparse.graph"):
@@ -444,7 +434,6 @@ def scalable_minimax_partition(
         coarse = minimax_partition(
             super_lo, super_hi, lengths, min(m, n_chunks), rng=rng,
             weight=weight, seeding=seeding,
-            cache_bytes=resolve_cache_bytes(cache_bytes),
         )
         assign = np.empty(n, dtype=np.int64)
         chunk_of = np.empty(n, dtype=np.int64)

@@ -434,3 +434,26 @@ class TestOnlineSimStorage:
         rc = main(args)  # second run over the same directory
         assert rc == 2
         assert "existing store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fault-sim", "uniform.2d", "--disks", "5", "--scheme", "mirrored"],
+        ["trace", "record", "uniform.2d", "{tmp}/t.jsonl", "--disks", "5", "--scheme", "mirrored"],
+        ["cluster-sim", "uniform.2d", "--method", "bogus"],
+        ["cluster-sim", "uniform.2d", "--disks", "0"],
+        ["decluster", "uniform.2d", "--disks", "0"],
+        ["online-sim", "uniform.2d", "--disks", "0"],
+        ["fault-sim", "uniform.2d", "--crash-node", "-1"],
+        ["autoscale-sim", "uniform.2d", "--queries", "-3"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) + " " + " ".join(argv[-2:]),
+)
+def test_malformed_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    """One error boundary: bad values fail with ``error:`` and exit 2."""
+    rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.minimax import minimax_partition
+from repro.core.proximity import FactoredProximity
 from repro.gridfile import GridFile
 from repro.sim import square_queries, sweep_methods
 from repro.sim.diskmodel import (
@@ -159,12 +160,12 @@ class TestBucketSizesCache:
 
 
 class TestMinimaxPrecomputeParity:
-    def test_precompute_modes_identical(self, rng):
-        """Dense, streamed and factored rows give one partition.
+    def test_precompute_modes_identical(self, rng, monkeypatch):
+        """Factored and full-formula rows give one partition.
 
-        Random float boxes fail the factored size rule (dense cache or
-        full-formula rows); grid-aligned boxes take factored rows under
-        ``False`` and ``"auto"`` and the dense matrix under ``True``.
+        Random float boxes fail the factored size rule and take formula
+        rows either way; grid-aligned boxes take factored rows unless the
+        table build is disabled, which forces the formula.
         """
         n = 120
         lengths = np.array([10.0, 10.0, 10.0])
@@ -175,10 +176,10 @@ class TestMinimaxPrecomputeParity:
         grid_lo = cuts[cell]
         grid_hi = cuts[np.minimum(cell + rng.integers(1, 3, size=(n, 3)), 8)]
         seeds = rng.choice(n, size=8, replace=False)
-        for box_lo, box_hi in ((lo, hi), (grid_lo, grid_hi)):
-            results = [
-                minimax_partition(box_lo, box_hi, lengths, 8, seeds=seeds, precompute=mode)
-                for mode in (True, False, "auto")
-            ]
-            assert np.array_equal(results[0], results[1])
-            assert np.array_equal(results[0], results[2])
+        boxes = ((lo, hi), (grid_lo, grid_hi))
+        assert FactoredProximity.build(grid_lo, grid_hi, lengths) is not None
+        fast = [minimax_partition(b_lo, b_hi, lengths, 8, seeds=seeds) for b_lo, b_hi in boxes]
+        monkeypatch.setattr(FactoredProximity, "build", classmethod(lambda cls, *a: None))
+        for (b_lo, b_hi), got in zip(boxes, fast):
+            slow = minimax_partition(b_lo, b_hi, lengths, 8, seeds=seeds)
+            assert np.array_equal(got, slow)

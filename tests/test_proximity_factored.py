@@ -4,8 +4,9 @@
 for bit, because minimax's tie-breaking (first ``argmin``) turns the last
 ulp of a weight into a different assignment.  Checked on real grid-file
 regions, on sminimax's super-node boxes, and by a hypothesis property over
-grid-aligned boxes; boxes the size rule rejects must take the dense or
-streamed fallback, as the ``minimax.cache.*`` counters show.
+grid-aligned boxes; boxes the size rule rejects take full-formula rows.
+Either way every row counts once in ``minimax.weight_rows`` and
+``minimax.cache.misses``.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 import repro.core.proximity as proximity
 import repro.core.scalable as scalable
-from repro.core import Minimax
 from repro.core.minimax import minimax_partition
 from repro.core.proximity import (
     FactoredProximity,
@@ -147,39 +147,34 @@ def test_rejected_boxes_build_no_table(monkeypatch):
     hi = lo + rng.uniform(0.05, 1.0, size=(n, 3))
     assert FactoredProximity.build(lo, hi, lengths) is None
     assert calls == []
-    # The streamed fallback only ever evaluates one (n, d) row at a time.
-    minimax_partition(lo, hi, lengths, 4, rng=0, precompute=False)
+    # The formula fallback only ever evaluates one (n, d) row at a time.
+    minimax_partition(lo, hi, lengths, 4, rng=0)
     assert calls and max(calls) <= 4 * n
 
 
-def test_tables_are_capped_by_bytes():
+def test_tables_are_capped_by_bytes(monkeypatch):
     """One-dimensional boxes with all-distinct intervals keep an n×n table
-    under the size rule alone; the byte cap refuses it like the dense matrix."""
+    under the size rule alone; the fixed byte cap refuses larger tables."""
     n = 50
     lo = np.arange(n, dtype=np.float64)[:, None]
     hi = lo + 0.5
+    expected = minimax_partition(lo, hi, [100.0], 4, rng=0)
+    monkeypatch.setattr(proximity, "_MAX_TABLE_BYTES", 8 * n * n)
     assert FactoredProximity.build(lo, hi, [100.0]) is not None
-    assert FactoredProximity.build(lo, hi, [100.0], max_bytes=8 * n * n) is not None
-    assert FactoredProximity.build(lo, hi, [100.0], max_bytes=8 * n * n - 1) is None
-    streamed = minimax_partition(lo, hi, [100.0], 4, rng=0, cache_bytes=0)
-    assert np.array_equal(streamed, minimax_partition(lo, hi, [100.0], 4, rng=0))
+    monkeypatch.setattr(proximity, "_MAX_TABLE_BYTES", 8 * n * n - 1)
+    assert FactoredProximity.build(lo, hi, [100.0]) is None
+    assert np.array_equal(minimax_partition(lo, hi, [100.0], 4, rng=0), expected)
 
 
 def test_blocked_table_fill_is_bit_identical(monkeypatch):
-    monkeypatch.setattr(proximity, "_TABLE_BLOCK_CELLS", 7)
+    monkeypatch.setattr(proximity, "_BLOCK_CELLS", 7)
     lo, hi, lengths = nonempty_regions("stock.3d")
     assert_rows_bit_identical(lo, hi, lengths)
 
 
-def test_zero_budget_streams_the_formula(small_gridfile):
-    method = Minimax(cache_bytes=0)
-    lo, hi = small_gridfile.bucket_regions()
-    ne = small_gridfile.nonempty_bucket_ids()
-    assert method._cached_rows(lo[ne], hi[ne], small_gridfile.scales.lengths) is None
-    assert np.array_equal(method.assign(small_gridfile, 8, rng=0), Minimax().assign(small_gridfile, 8, rng=0))
-
-
 def test_counters_tell_factored_from_dense_fallback():
+    """Every row adds one weight row and one miss, factored or formula;
+    no row is ever a cache hit."""
     rng = np.random.default_rng(11)
     n, lengths = 90, np.array([10.0, 10.0])
     rand_lo = rng.uniform(0, 9, size=(n, 2))
@@ -187,45 +182,39 @@ def test_counters_tell_factored_from_dense_fallback():
     cuts = np.linspace(0.0, 10.0, 7)
     grid_lo = cuts[rng.integers(0, 6, size=(n, 2))]
     grid_hi = grid_lo + 10.0 / 6
+    assert FactoredProximity.build(rand_lo, rand_hi, lengths) is None
+    assert FactoredProximity.build(grid_lo, grid_hi, lengths) is not None
 
-    # Random float boxes: the rule fails, every row comes from the dense cache.
-    h0, m0, w0 = counters()
-    minimax_partition(rand_lo, rand_hi, lengths, 4, rng=0)
-    h1, m1, w1 = counters()
-    assert (h1 - h0, m1 - m0, w1 - w0) == (n, 0, 0)
+    for lo, hi in ((rand_lo, rand_hi), (grid_lo, grid_hi)):
+        h0, m0, w0 = counters()
+        minimax_partition(lo, hi, lengths, 4, rng=0)
+        h1, m1, w1 = counters()
+        assert (h1 - h0, m1 - m0, w1 - w0) == (0, n, n)
 
-    # Grid-aligned boxes: factored rows, counted as misses and weight rows.
-    minimax_partition(grid_lo, grid_hi, lengths, 4, rng=0)
-    h2, m2, w2 = counters()
-    assert (h2 - h1, m2 - m1, w2 - w1) == (0, n, n)
 
-    # Forcing the dense matrix skips the factored path even on a grid.
-    minimax_partition(grid_lo, grid_hi, lengths, 4, rng=0, precompute=True)
-    h3, m3, _ = counters()
-    assert (h3 - h2, m3 - m2) == (n, 0)
+def grid_aligned_partition_inputs():
+    """stock.3d regions, and grid-aligned boxes with explicit seeds."""
+    yield (*nonempty_regions("stock.3d"), 16, None)
+    rng = np.random.default_rng(1996)
+    n = 120
+    cuts = np.linspace(0.0, 10.0, 9)
+    cell = rng.integers(0, 8, size=(n, 3))
+    grid_lo = cuts[cell]
+    grid_hi = cuts[np.minimum(cell + rng.integers(1, 3, size=(n, 3)), 8)]
+    seeds = rng.choice(n, size=8, replace=False)
+    yield grid_lo, grid_hi, np.array([10.0, 10.0, 10.0]), 8, seeds
 
 
 @pytest.mark.parametrize("seeding", ["random", "farthest"])
 def test_partition_identical_to_formula_rows(monkeypatch, seeding):
-    lo, hi, lengths = nonempty_regions("stock.3d")
-    fast = minimax_partition(lo, hi, lengths, 16, rng=3, seeding=seeding, precompute=False)
+    inputs = list(grid_aligned_partition_inputs())
+    for lo, hi, lengths, _, _ in inputs:
+        assert FactoredProximity.build(lo, hi, lengths) is not None
+    fast = [
+        minimax_partition(lo, hi, lengths, m, rng=3, seeding=seeding, seeds=seeds)
+        for lo, hi, lengths, m, seeds in inputs
+    ]
     monkeypatch.setattr(FactoredProximity, "build", classmethod(lambda cls, *a: None))
-    slow = minimax_partition(lo, hi, lengths, 16, rng=3, seeding=seeding, precompute=False)
-    assert np.array_equal(fast, slow)
-
-
-def test_minimax_memo_holds_tables_not_a_dense_matrix(small_gridfile):
-    method = Minimax()
-    first = method.assign(small_gridfile, 8, rng=0)
-    assert isinstance(method._rows_memo[2], FactoredProximity)
-    assert np.array_equal(method.assign(small_gridfile, 8, rng=0), first)
-    assert np.array_equal(Minimax(precompute=True).assign(small_gridfile, 8, rng=0), first)
-
-
-def test_rows_argument_is_validated():
-    lo = np.array([[0.0], [1.0], [2.0]])
-    hi = lo + 1.0
-    fp = FactoredProximity.build(lo, hi, [4.0])
-    with pytest.raises(ValueError, match="cover"):
-        minimax_partition(lo[:2], hi[:2], [4.0], 2, rows=fp)
-    assert FactoredProximity.build(np.empty((0, 2)), np.empty((0, 2)), [1.0, 1.0]) is None
+    for (lo, hi, lengths, m, seeds), got in zip(inputs, fast):
+        slow = minimax_partition(lo, hi, lengths, m, rng=3, seeding=seeding, seeds=seeds)
+        assert np.array_equal(got, slow)

@@ -21,13 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ScalableMinimax, bulk_assign, make_method
-from repro.core.minimax import (
-    CACHE_BYTES_ENV,
-    DEFAULT_CACHE_BYTES,
-    Minimax,
-    minimax_partition,
-    resolve_cache_bytes,
-)
+from repro.core.minimax import Minimax, minimax_partition
 from repro.core.scalable import (
     knn_graph,
     scalable_minimax_partition,
@@ -309,51 +303,6 @@ class TestBulkAssign:
     def test_rejects_conflict_letter(self):
         with pytest.raises(ValueError):
             make_method("sminimax/D")
-
-
-# ------------------------------------------------------------ cache knob
-
-
-class TestCacheBytesKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_BYTES_ENV, raising=False)
-        assert resolve_cache_bytes(None) == DEFAULT_CACHE_BYTES
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(CACHE_BYTES_ENV, "1024")
-        assert resolve_cache_bytes(2048) == 2048
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv(CACHE_BYTES_ENV, "1048576")
-        assert resolve_cache_bytes(None) == 1048576
-        assert Minimax().cache_bytes == 1048576
-
-    def test_env_zero_disables_cache(self, monkeypatch, rng):
-        monkeypatch.setenv(CACHE_BYTES_ENV, "0")
-        lo, hi = random_boxes(40, rng)
-        misses = GLOBAL_METRICS.counter("minimax.cache.misses").value
-        out = minimax_partition(lo, hi, L2, 4, rng=0)
-        assert GLOBAL_METRICS.counter("minimax.cache.misses").value > misses
-        monkeypatch.delenv(CACHE_BYTES_ENV)
-        assert np.array_equal(out, minimax_partition(lo, hi, L2, 4, rng=0))
-
-    def test_malformed_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(CACHE_BYTES_ENV, "lots")
-        with pytest.raises(ValueError, match=CACHE_BYTES_ENV):
-            resolve_cache_bytes(None)
-        monkeypatch.setenv(CACHE_BYTES_ENV, "-1")
-        with pytest.raises(ValueError, match=CACHE_BYTES_ENV):
-            resolve_cache_bytes(None)
-
-    def test_negative_arg_rejected(self):
-        with pytest.raises(ValueError, match="cache_bytes"):
-            resolve_cache_bytes(-5)
-
-    def test_cache_hit_counters(self, rng):
-        lo, hi = random_boxes(60, rng)
-        hits = GLOBAL_METRICS.counter("minimax.cache.hits").value
-        minimax_partition(lo, hi, L2, 4, rng=0, precompute=True)
-        assert GLOBAL_METRICS.counter("minimax.cache.hits").value > hits
 
 
 # --------------------------------------------------------- large-N smoke
