@@ -64,6 +64,7 @@ from repro.experiments import (
     table5_random,
 )
 from repro.experiments.report import render_cluster_rows
+from repro.obs import PROFILER
 from repro.sim import degree_of_data_balance, evaluate_queries, square_queries
 
 __all__ = ["main"]
@@ -88,12 +89,26 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-def _cmd_decluster(args) -> int:
+def _deploy(args):
+    """Load ``args.name``, build its grid file and decluster it onto
+    ``args.disks`` with ``args.method``: ``(ds, gf, method, assignment)``."""
     ds = load(args.name, rng=args.seed)
     gf = build_gridfile(ds)
     method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    queries = square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
+    with PROFILER.phase(f"assign.{method.name}"):
+        assignment = method.assign(gf, args.disks, rng=args.seed)
+    return ds, gf, method, assignment
+
+
+def _square_queries(args, ds):
+    return square_queries(
+        args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed
+    )
+
+
+def _cmd_decluster(args) -> int:
+    ds, gf, method, assignment = _deploy(args)
+    queries = _square_queries(args, ds)
     ev = evaluate_queries(gf, assignment, queries, args.disks)
     balance = degree_of_data_balance(assignment, args.disks, gf.bucket_sizes())
     print(f"dataset            : {ds.name} ({gf.stats()})")
@@ -172,8 +187,7 @@ def _cmd_experiment(args) -> int:
         rows = table5_random(n_records=n, rng=seed)
         print(render_cluster_rows(rows, "Table 5 (random range queries, simulated SP-2)"))
     else:
-        print(f"unknown experiment {args.id!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown experiment {args.id!r}")
     return 0
 
 
@@ -192,7 +206,6 @@ def _engine_params(args, **extra):
         max_inflight=args.max_inflight,
         deadline=args.deadline,
         retry_jitter=args.retry_jitter,
-        des_queue=args.des_queue,
         **extra,
     )
 
@@ -211,22 +224,13 @@ def _print_perf(rep, *, show_shed: bool = False) -> None:
               f"(fraction {rep.shed_fraction:.3f})")
 
 
-def _deploy(args):
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    queries = square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
-    return ds, gf, method, assignment, queries
-
-
 def _cmd_cluster_sim(args) -> int:
     from repro.parallel import ParallelGridFile
 
-    ds, gf, method, assignment, queries = _deploy(args)
+    ds, gf, method, assignment = _deploy(args)
     params = _engine_params(args, replication=args.scheme)
     pgf = ParallelGridFile(gf, assignment, args.disks, params)
-    rep = pgf.run_queries(queries)
+    rep = pgf.run_queries(_square_queries(args, ds))
     print(f"dataset            : {ds.name} ({gf.stats()})")
     print(f"method             : {method.name}, disks={args.disks}")
     print(f"engine             : scheduler={args.scheduler}, "
@@ -240,12 +244,11 @@ def _cmd_open_sim(args) -> int:
     from repro.parallel import ParallelGridFile
 
     if args.rate <= 0:
-        print("--rate must be positive", file=sys.stderr)
-        return 2
-    ds, gf, method, assignment, queries = _deploy(args)
+        raise ValueError("--rate must be positive")
+    ds, gf, method, assignment = _deploy(args)
     params = _engine_params(args, replication=args.scheme)
     pgf = ParallelGridFile(gf, assignment, args.disks, params)
-    rep = pgf.run_open(queries, arrival_rate=args.rate, rng=args.seed)
+    rep = pgf.run_open(_square_queries(args, ds), arrival_rate=args.rate, rng=args.seed)
     admission = "unbounded"
     if args.max_inflight is not None or args.deadline is not None:
         admission = f"max-inflight={args.max_inflight}, deadline={args.deadline}"
@@ -262,24 +265,17 @@ def _cmd_open_sim(args) -> int:
 def _cmd_fault_sim(args) -> int:
     from repro.parallel import ClusterParams, FaultPlan, ParallelGridFile
 
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    queries = square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
-
     if args.crash_node >= args.disks:
-        print(f"--crash-node must be < --disks ({args.disks})", file=sys.stderr)
-        return 2
+        raise ValueError(f"--crash-node must be < --disks ({args.disks})")
     if args.crash_time < 0:
-        print("--crash-time must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--crash-time must be non-negative")
     if args.recover_time is not None and args.recover_time <= args.crash_time:
-        print("--recover-time must be after --crash-time", file=sys.stderr)
-        return 2
+        raise ValueError("--recover-time must be after --crash-time")
     plan = FaultPlan().node_crash(args.crash_time, node=args.crash_node)
     if args.recover_time is not None:
         plan = plan.node_recover(args.recover_time, node=args.crash_node)
+    ds, gf, method, assignment = _deploy(args)
+    queries = _square_queries(args, ds)
 
     params = ClusterParams(replication=args.scheme)
     healthy = ParallelGridFile(gf, assignment, args.disks, params).run_queries(queries)
@@ -306,15 +302,10 @@ def _cmd_online_sim(args) -> int:
     from repro.sim import mixed_workload
 
     if not 0.0 <= args.write_ratio <= 1.0:
-        print("--write-ratio must be in [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("--write-ratio must be in [0, 1]")
     if args.store != "memory" and args.store_path is None:
-        print(f"--store {args.store} requires --store-path", file=sys.stderr)
-        return 2
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
+        raise ValueError(f"--store {args.store} requires --store-path")
+    ds, gf, method, assignment = _deploy(args)
     store = make_store(
         gf, backend=args.store, path=args.store_path, durability=args.wal_sync
     )
@@ -373,10 +364,7 @@ def _cmd_autoscale_sim(args) -> int:
     from repro.parallel import AutoscaleCluster, AutoscaleParams, ScalePlan
     from repro.sim import flash_crowd_queries
 
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
+    ds, gf, method, assignment = _deploy(args)
     queries = flash_crowd_queries(
         args.queries, args.ratio, ds.domain_lo, ds.domain_hi,
         start=args.crowd_start, duration=args.crowd_duration,
@@ -440,7 +428,7 @@ def _cmd_fsck(args) -> int:
         print(f"error: no store at {path} (missing {DATA_FILE})", file=sys.stderr)
         return 2
     try:
-        eng = StorageEngine(path, backend=args.backend, page_size=args.page_size)
+        eng = StorageEngine(path, page_size=args.page_size)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -448,7 +436,7 @@ def _cmd_fsck(args) -> int:
         report = eng.fsck(repair=args.repair)
     finally:
         eng.close()
-    print(f"store          : {path} (backend={args.backend}, page_size={args.page_size})")
+    print(f"store          : {path} (page_size={args.page_size})")
     print(f"pages checked  : {report.pages_checked}")
     print(f"pages repaired : {report.pages_repaired}")
     for problem in report.problems:
@@ -476,24 +464,21 @@ def _cmd_trace(args) -> int:
         return 0
 
     # record
-    from repro.obs import PROFILER, Tracer
+    from repro.obs import Tracer
     from repro.parallel import ClusterParams, FaultPlan, ParallelGridFile
 
     plan = None
     if args.crash_node is not None:
         if not 0 <= args.crash_node < args.disks:
-            print(f"--crash-node must be in [0, {args.disks})", file=sys.stderr)
-            return 2
+            raise ValueError(f"--crash-node must be in [0, {args.disks})")
         plan = FaultPlan().node_crash(args.crash_time, node=args.crash_node)
         if args.recover_time is not None:
             if args.recover_time <= args.crash_time:
-                print("--recover-time must be after --crash-time", file=sys.stderr)
-                return 2
+                raise ValueError("--recover-time must be after --crash-time")
             plan.node_recover(args.recover_time, node=args.crash_node)
     if args.slow_node is not None:
         if not 0 <= args.slow_node < args.disks:
-            print(f"--slow-node must be in [0, {args.disks})", file=sys.stderr)
-            return 2
+            raise ValueError(f"--slow-node must be in [0, {args.disks})")
         plan = plan if plan is not None else FaultPlan()
         plan.disk_slowdown(args.slow_time, node=args.slow_node, factor=args.slow_factor)
 
@@ -503,17 +488,10 @@ def _cmd_trace(args) -> int:
     PROFILER.enabled = True
     PROFILER.reset()
     try:
-        ds = load(args.name, rng=args.seed)
-        gf = build_gridfile(ds)
-        method = make_method(args.method)
-        with PROFILER.phase(f"assign.{method.name}"):
-            assignment = method.assign(gf, args.disks, rng=args.seed)
-        queries = square_queries(
-            args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed
-        )
+        ds, gf, _, assignment = _deploy(args)
         params = ClusterParams(replication=args.scheme) if args.scheme else ClusterParams()
         rep = ParallelGridFile(gf, assignment, args.disks, params).run_queries(
-            queries, faults=plan, tracer=tracer
+            _square_queries(args, ds), faults=plan, tracer=tracer
         )
     finally:
         PROFILER.enabled = was_enabled
@@ -576,8 +554,7 @@ def _cmd_sql(args) -> int:
     from repro.sql import SqlEngine, SqlError
 
     if args.store != "memory" and args.store_path is None:
-        print(f"--store {args.store} requires --store-path", file=sys.stderr)
-        return 2
+        raise ValueError(f"--store {args.store} requires --store-path")
     engine = SqlEngine(
         n_disks=args.disks,
         params=_engine_params(args),
@@ -656,10 +633,6 @@ def _add_engine_flags(sp) -> None:
     sp.add_argument("--retry-jitter", type=float, default=0.0,
                     help="full-jitter fraction on retry backoff (0 = deterministic"
                     " legacy delays, 1 = full jitter)")
-    sp.add_argument("--des-queue", default=None,
-                    help="DES pending-event queue (heap | calendar); results are"
-                    " identical, the calendar queue drops the heap's log factor"
-                    " on million-event runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="windowed R(q) ratio that triggers reorganization")
     o.add_argument("--reorg-budget", type=float, default=0.2,
                    help="movement budget per reorganization (fraction of buckets)")
-    o.add_argument("--store", default="memory", choices=["memory", "file", "mmap"],
-                   help="storage backend for the live grid file (file/mmap persist"
+    o.add_argument("--store", default="memory", choices=["memory", "file"],
+                   help="storage backend for the live grid file (file persists"
                    " every committed operation through the WAL)")
     o.add_argument("--store-path", default=None,
                    help="directory for the durable store (required unless memory)")
@@ -805,8 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("path", help="store directory (holds pages.dat / wal.log)")
     fs.add_argument("--repair", action="store_true",
                     help="rewrite corrupt pages from their committed WAL images")
-    fs.add_argument("--backend", default="file", choices=["file", "mmap"],
-                    help="block-store backend the store was written with")
     fs.add_argument("--page-size", type=int, default=4096,
                     help="page size the store was written with (bytes)")
     fs.add_argument("--dump", default=None,
@@ -854,13 +825,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-decluster tables with this method spec after every"
                    " write batch (default: keep the placement policy's"
                    " incremental assignment)")
-    q.add_argument("--store", default="memory", choices=["memory", "file", "mmap"],
+    q.add_argument("--store", default="memory", choices=["memory", "file"],
                    help="per-table storage backend")
     q.add_argument("--store-path", default=None,
-                   help="directory for file/mmap table stores")
+                   help="directory for file table stores")
     q.add_argument("--wal-sync", default="commit",
                    choices=["commit", "checkpoint", "off"],
-                   help="WAL durability mode for file/mmap stores")
+                   help="WAL durability mode for file stores")
     q.add_argument("-v", "--verbose", action="store_true",
                    help="print each SELECT's plan (EXPLAIN) to stderr")
     _add_engine_flags(q)

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro._util import as_rng
 from repro.core.redistribute import minimax_expand
-from repro.obs import PROFILER
 from repro.parallel.autoscale.params import AutoscaleParams
 from repro.parallel.autoscale.policy import make_autoscale_policy
 from repro.parallel.engine.params import ClusterParams
@@ -214,37 +213,7 @@ class AutoscaleCluster:
             policy.configure(self.n_disks_start, expand_fn=self._expand_fn())
             for ev in self.plan.sorted_events():
                 pipe.sim.schedule_at(ev.time, policy.apply_event, ev)
-        n = len(pipe.queries)
-        state = {"next": 0}
-
-        def submit_next(_qid=None):
-            if state["next"] < n:
-                qid = state["next"]
-                state["next"] += 1
-                pipe.submit(qid)
-
-        pipe.on_complete = submit_next
-        for _ in range(max(1, self.params.pipeline_depth)):
-            submit_next()
-        with PROFILER.phase("cluster.run"):
-            pipe.sim.run()
-        perf = pipe.report()
-        if not policy.routes:
-            return AutoscaleReport(
-                perf=perf,
-                n_disks_start=self.n_disks_start,
-                n_disks_end=self.n_disks_end,
-                pool_disks=self.pool_disks,
-                replicas_created=0,
-                replicas_evicted=0,
-                promotions=0,
-                moves=0,
-                control_steps=0,
-                joins=0,
-                leaves=0,
-                final_replicas=0,
-                peak_replicas=0,
-            )
+        perf = pipe.run_closed()
         return AutoscaleReport(
             perf=perf,
             n_disks_start=self.n_disks_start,
@@ -257,6 +226,6 @@ class AutoscaleCluster:
             control_steps=policy.control_steps,
             joins=policy.joins,
             leaves=policy.leaves,
-            final_replicas=policy.ctl.n_replicas,
+            final_replicas=policy.final_replicas,
             peak_replicas=policy.peak_replicas,
         )

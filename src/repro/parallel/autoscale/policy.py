@@ -50,6 +50,10 @@ class AutoscalePolicy:
     routes = False
     #: Whether the policy runs the closed control loop on query completions.
     adaptive = False
+    #: The control ledger :class:`~repro.parallel.autoscale.AutoscaleReport`
+    #: reads; a policy that replicates nothing leaves every count at zero.
+    replicas_created = replicas_evicted = promotions = moves = 0
+    control_steps = joins = leaves = peak_replicas = final_replicas = 0
 
     def bind(self, pipeline) -> None:
         """Attach to one pipeline run (called once, before any routing)."""
@@ -102,14 +106,6 @@ class _ReplicatedAutoscale(AutoscalePolicy):
 
     def __init__(self, params: AutoscaleParams):
         self.p = params
-        self.replicas_created = 0
-        self.replicas_evicted = 0
-        self.promotions = 0
-        self.moves = 0
-        self.control_steps = 0
-        self.joins = 0
-        self.leaves = 0
-        self.peak_replicas = 0
         self._completed = 0
 
     def bind(self, pipeline) -> None:
@@ -120,6 +116,10 @@ class _ReplicatedAutoscale(AutoscalePolicy):
             active=pipeline.n_disks, expand_fn=None, sizes=sizes
         )
         self._rr: dict[int, int] = {}
+
+    @property
+    def final_replicas(self) -> int:
+        return self.ctl.n_replicas
 
     def _build_controller(self, active: int, expand_fn, sizes=None) -> None:
         if sizes is None:

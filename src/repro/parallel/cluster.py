@@ -63,9 +63,6 @@ from repro.parallel.engine.pipeline import RequestPipeline
 from repro.parallel.engine.runners import LoadReport, ParallelGridFile
 from repro.parallel.engine.stats import PerfReport
 
-#: Historical alias — the engine class behind both run modes.
-_Engine = RequestPipeline
-
 __all__ = [
     "ClusterParams",
     "DEFAULT_REQUEST_TIMEOUT",

@@ -24,19 +24,15 @@ event — the causal backbone under the protocol-level records the cluster
 engine adds on top.  With the default ``tracer=None`` the loop is exactly
 the untraced loop.
 
-The pending-event structure is pluggable (``Simulator(queue="calendar")``
-or the ``REPRO_DES_QUEUE`` environment variable): the default binary heap
-pays O(log n) per event, the calendar queue amortized O(1) — million-event
-open-system runs stop paying the heap's log factor.  Both produce the
-identical ``(time, seq)`` pop order, so simulated results do not depend on
-the choice (see :mod:`repro.parallel.eventq`).
+Pending events live in a binary heap of ``(time, seq, Event, callback,
+args)`` tuples.  ``(time, seq)`` is unique, so tuple comparison never
+reaches the non-comparable payload.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-
-from repro.parallel.eventq import make_event_queue
 
 __all__ = ["Simulator", "Resource", "Event"]
 
@@ -61,6 +57,33 @@ class Event:
         return not (self.cancelled or self.fired)
 
 
+class _EventHeap:
+    """Binary-heap pending-event queue.
+
+    The method wrapper is deliberate: it measured faster in the event loop
+    than inlining ``heapq.heappush``/``heappop`` into :meth:`Simulator.run`.
+    """
+
+    __slots__ = ("_heap",)
+
+    def __init__(self):
+        self._heap: list = []
+
+    def push(self, item) -> None:
+        heapq.heappush(self._heap, item)
+
+    def peek(self):
+        """The minimum item, or ``None`` when empty (not removed)."""
+        return self._heap[0] if self._heap else None
+
+    def pop(self):
+        """Remove and return the minimum item."""
+        return heapq.heappop(self._heap)
+
+    def __iter__(self):
+        return iter(self._heap)
+
+
 class Simulator:
     """Event loop: schedule callbacks at future times, run until drained.
 
@@ -70,15 +93,10 @@ class Simulator:
         Optional :class:`repro.obs.Tracer`; when enabled, each fired
         callback emits a ``sim.fire`` trace event (cancelled events emit
         nothing).  ``None`` (default) traces nothing.
-    queue:
-        Pending-event structure: ``"heap"`` (binary heap, the legacy
-        default) or ``"calendar"`` (calendar queue, amortized O(1) per
-        event).  ``None`` consults ``REPRO_DES_QUEUE``.  Event ordering —
-        and therefore every simulated result — is identical either way.
     """
 
-    def __init__(self, tracer=None, queue: "str | None" = None):
-        self._queue = make_event_queue(queue)
+    def __init__(self, tracer=None):
+        self._queue = _EventHeap()
         self._seq = 0
         self.now = 0.0
         self._tracer = tracer if tracer is not None and tracer.enabled else None

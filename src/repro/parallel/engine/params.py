@@ -101,12 +101,6 @@ class ClusterParams:
     #: are mutually exclusive with ``replication``/``replica_policy``.  See
     #: `repro.parallel.autoscale` and ``docs/autoscale.md``.
     autoscale: "object | None" = None
-    #: Pending-event queue of the DES kernel: None (default, consults the
-    #: ``REPRO_DES_QUEUE`` env var, falling back to "heap") or an explicit
-    #: "heap" / "calendar".  The calendar queue drops the heap's O(log n)
-    #: per-event cost on million-request open-system runs; event ordering
-    #: is pinned identical either way, so results do not change.
-    des_queue: "str | None" = None
 
 
 def validate_params(params: ClusterParams) -> None:
@@ -130,14 +124,6 @@ def validate_params(params: ClusterParams) -> None:
         raise ValueError(f"max_inflight must be >= 1, got {params.max_inflight}")
     if params.deadline is not None and params.deadline <= 0:
         raise ValueError(f"deadline must be positive, got {params.deadline}")
-    if params.des_queue is not None:
-        from repro.parallel.eventq import EVENT_QUEUES
-
-        if params.des_queue not in EVENT_QUEUES:
-            raise ValueError(
-                f"unknown des_queue {params.des_queue!r}; "
-                f"choose from {sorted(EVENT_QUEUES)}"
-            )
     if params.autoscale is not None:
         from repro.parallel.autoscale.policy import make_autoscale_policy
 

@@ -21,7 +21,8 @@ Degraded mode (timeout → retry → suspect → failover → abort) and the
 ``net``, ``node_recovered``, ``trace``/``tracer`` attributes) are unchanged
 from the legacy engine.  Statistics accumulate in a shared
 :class:`~repro.parallel.engine.stats.StatsCollector`; both the static and
-the online drivers are thin compositions over this class.
+the online drivers are thin compositions over this class, and
+:meth:`RequestPipeline.run_closed` is the one closed-loop driver.
 
 With the default seams (FIFO scheduling, primary-only replica selection,
 unbounded admission) every reservation and event is issued in the exact
@@ -71,10 +72,7 @@ class RequestPipeline:
         self.tracer = tracer if tracer is not None else default_tracer()
         self.trace = self.tracer.enabled
         self.metrics = MetricsRegistry()
-        self.sim = Simulator(
-            tracer=self.tracer if self.trace else None,
-            queue=self.params.des_queue,
-        )
+        self.sim = Simulator(tracer=self.tracer if self.trace else None)
         self.queries = list(queries)
         #: Lazy runs (the online engine) plan each query at submit time
         #: against the live store instead of eagerly up front.
@@ -343,6 +341,25 @@ class RequestPipeline:
         if self.autoscale is not None and self.autoscale.routes:
             return self.autoscale.failover(plan, req)
         return self.selector.failover(plan, req)
+
+    # -- driving -------------------------------------------------------------
+
+    def run_closed(self):
+        """Closed-system run: keep ``pipeline_depth`` queries outstanding,
+        submitting the next in workload order as each one completes."""
+        pending = iter(range(len(self.queries)))
+
+        def submit_next(_qid=None):
+            qid = next(pending, None)
+            if qid is not None:
+                self.submit(qid)
+
+        self.on_complete = submit_next
+        for _ in range(max(1, self.params.pipeline_depth)):
+            submit_next()
+        with PROFILER.phase("cluster.run"):
+            self.sim.run()
+        return self.report()
 
     # -- reporting -----------------------------------------------------------
 

@@ -98,22 +98,9 @@ class ParallelGridFile:
             default ``None`` the process-wide tracer applies (enabled only
             when ``REPRO_TRACE`` is set — see ``docs/observability.md``).
         """
-        engine = RequestPipeline(self, queries, faults=faults, tracer=tracer)
-        n = len(engine.queries)
-        state = {"next": 0}
-
-        def submit_next(_qid=None):
-            if state["next"] < n:
-                qid = state["next"]
-                state["next"] += 1
-                engine.submit(qid)
-
-        engine.on_complete = submit_next
-        for _ in range(max(1, self.params.pipeline_depth)):
-            submit_next()
-        with PROFILER.phase("cluster.run"):
-            engine.sim.run()
-        return engine.report()
+        return RequestPipeline(
+            self, queries, faults=faults, tracer=tracer
+        ).run_closed()
 
     def run_open(
         self, queries, arrival_rate: float, rng=None, faults=None, tracer=None

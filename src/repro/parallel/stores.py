@@ -122,8 +122,8 @@ def make_store(
     """Build a grid-file page store for the given storage backend.
 
     ``memory`` returns the legacy pure in-memory :class:`GridFileStore`
-    (byte-identical simulator behaviour); ``file`` / ``mmap`` persist the
-    grid file under ``path`` via a fresh :class:`DurableGridFileStore`.
+    (byte-identical simulator behaviour); ``file`` persists the grid file
+    under ``path`` via a fresh :class:`DurableGridFileStore`.
     """
     if backend == "memory":
         return GridFileStore(gf)

@@ -140,8 +140,8 @@ class SqlEngine:
         bit-for-bit.  Invalid specs are rejected here, at engine
         construction.
     store_backend, store_path, wal_sync:
-        Storage backend per table (``memory`` / ``file`` / ``mmap``; file
-        backends persist under ``store_path/<table>.gfdb``).
+        Storage backend per table (``memory`` / ``file``; ``file``
+        persists under ``store_path/<table>.gfdb``).
     """
 
     def __init__(

@@ -6,8 +6,8 @@ provides real durable storage for grid files:
 
 * :mod:`~repro.storage.page` — checksummed page format (magic, page id,
   LSN, CRC32) detecting torn writes, bit flips and wrong-slot writes;
-* :mod:`~repro.storage.blockstore` — pluggable block devices
-  (``memory`` / ``file`` / ``mmap``);
+* :mod:`~repro.storage.blockstore` — block devices (``memory`` /
+  ``file``);
 * :mod:`~repro.storage.allocator` — page allocator with a persistent
   free-list;
 * :mod:`~repro.storage.wal` — write-ahead log with physical redo and
@@ -33,7 +33,6 @@ from repro.storage.blockstore import (
     BlockStore,
     FileBlockStore,
     MemoryBlockStore,
-    MmapBlockStore,
     make_block_store,
 )
 from repro.storage.engine import (
@@ -96,7 +95,6 @@ __all__ = [
     "FsckReport",
     "InjectedCrash",
     "MemoryBlockStore",
-    "MmapBlockStore",
     "PageAllocator",
     "PageCorruptionError",
     "PageHeader",

@@ -1,16 +1,14 @@
-"""Pluggable block devices: fixed-size page I/O over memory, file or mmap.
+"""Block devices: fixed-size page I/O over memory or a regular file.
 
 A :class:`BlockStore` is the raw device abstraction under the storage
 engine — it reads and writes whole pages by id and knows how to make them
-durable (:meth:`BlockStore.sync`).  Three backends:
+durable (:meth:`BlockStore.sync`).  Two backends:
 
 * ``memory`` — a bytearray; no durability, the unit-test device;
 * ``file`` — classic seek/read/write on a regular file with
   ``fsync``-backed :meth:`~BlockStore.sync` (the crash-injection harness
   wraps this backend's file object with a
-  :class:`~repro.storage.faults.FaultyFile`);
-* ``mmap`` — a memory-mapped file, grown in page-aligned chunks, with
-  ``msync``-backed flush.
+  :class:`~repro.storage.faults.FaultyFile`).
 
 Reads past the end of the device return zero-filled pages (which fail the
 page CRC and are treated as never written), so recovery can probe any page
@@ -19,7 +17,6 @@ id without tracking the device length separately.
 
 from __future__ import annotations
 
-import mmap
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -31,7 +28,6 @@ __all__ = [
     "BlockStore",
     "FileBlockStore",
     "MemoryBlockStore",
-    "MmapBlockStore",
     "make_block_store",
 ]
 
@@ -39,7 +35,7 @@ __all__ = [
 class BlockStore(ABC):
     """Fixed-size page I/O: the device interface under the storage engine."""
 
-    #: Registry key of the backend ("memory" / "file" / "mmap").
+    #: Registry key of the backend ("memory" / "file").
     kind: str = "abstract"
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
@@ -57,7 +53,7 @@ class BlockStore(ABC):
 
     @abstractmethod
     def sync(self) -> None:
-        """Make every completed write durable (fsync / msync)."""
+        """Make every completed write durable (fsync)."""
 
     @property
     @abstractmethod
@@ -157,75 +153,10 @@ class FileBlockStore(BlockStore):
         self._f.close()
 
 
-class MmapBlockStore(BlockStore):
-    """A memory-mapped file, grown in page-aligned chunks of 64 pages."""
-
-    kind = "mmap"
-
-    #: Growth quantum in pages (remaps are expensive).
-    GROW_PAGES = 64
-
-    def __init__(self, path, page_size: int = DEFAULT_PAGE_SIZE):
-        super().__init__(page_size)
-        self.path = Path(path)
-        mode = "r+b" if self.path.exists() else "w+b"
-        self._f = open(self.path, mode)
-        self._f.seek(0, os.SEEK_END)
-        size = self._f.tell()
-        if size == 0:
-            # mmap cannot map an empty file; start with one growth chunk.
-            self._grow_file(self.GROW_PAGES * self.page_size)
-            size = self.GROW_PAGES * self.page_size
-        elif size % self.page_size:
-            # A torn tail write left a partial page; pad so it maps whole.
-            self._grow_file(-(-size // self.page_size) * self.page_size)
-            size = -(-size // self.page_size) * self.page_size
-        self._mm = mmap.mmap(self._f.fileno(), size)
-
-    def _grow_file(self, new_size: int) -> None:
-        self._f.truncate(new_size)
-        self._f.flush()
-
-    def _ensure(self, end: int) -> None:
-        if end <= len(self._mm):
-            return
-        chunk = self.GROW_PAGES * self.page_size
-        new_size = -(-end // chunk) * chunk
-        self._mm.flush()
-        self._mm.close()
-        self._grow_file(new_size)
-        self._mm = mmap.mmap(self._f.fileno(), new_size)
-
-    def read_page(self, page_id: int) -> bytes:
-        start = page_id * self.page_size
-        if start >= len(self._mm):
-            return b"\x00" * self.page_size
-        return bytes(self._mm[start : start + self.page_size])
-
-    def write_page(self, page_id: int, buf: bytes) -> None:
-        self._check_write(page_id, buf)
-        end = (page_id + 1) * self.page_size
-        self._ensure(end)
-        self._mm[page_id * self.page_size : end] = buf
-
-    def sync(self) -> None:
-        self._mm.flush()
-        os.fsync(self._f.fileno())
-
-    @property
-    def n_pages(self) -> int:
-        return len(self._mm) // self.page_size
-
-    def close(self) -> None:
-        self._mm.close()
-        self._f.close()
-
-
 #: Backend registry (the ``--store`` CLI knob and ``make_store`` use it).
 BLOCK_STORES = {
     "memory": MemoryBlockStore,
     "file": FileBlockStore,
-    "mmap": MmapBlockStore,
 }
 
 

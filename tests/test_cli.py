@@ -328,7 +328,6 @@ class TestFsckCommand:
 
     def test_fsck_parser_defaults(self):
         args = build_parser().parse_args(["fsck", "/tmp/x"])
-        assert args.backend == "file"
         assert args.page_size == 4096
         assert not args.repair
 
@@ -447,6 +446,13 @@ class TestOnlineSimStorage:
         ["online-sim", "uniform.2d", "--disks", "0"],
         ["fault-sim", "uniform.2d", "--crash-node", "-1"],
         ["autoscale-sim", "uniform.2d", "--queries", "-3"],
+        ["open-sim", "uniform.2d", "--rate", "0"],
+        ["experiment", "fig99"],
+        ["online-sim", "uniform.2d", "--write-ratio", "2"],
+        ["online-sim", "uniform.2d", "--store", "file"],
+        ["sql", "--store", "file", "-e", "select 1"],
+        ["fault-sim", "uniform.2d", "--crash-node", "16"],
+        ["trace", "record", "uniform.2d", "{tmp}/t.jsonl", "--slow-node", "99"],
     ],
     ids=lambda argv: " ".join(argv[:2]) + " " + " ".join(argv[-2:]),
 )
