@@ -18,11 +18,11 @@ from repro.gridfile import bulk_load
 from repro.sfc import HilbertCurve
 from repro.sim import square_queries
 from repro.sim.diskmodel import (
-    _response_times_reference,
     query_buckets,
     resolve_query_buckets,
     response_times,
 )
+from tests.oracles import response_times_reference
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ def test_response_times_vectorized_speedup(benchmark, report_sink):
         return best, out
 
     t_vec, vec = best_of(response_times, rounds=5)
-    t_ref, ref = best_of(_response_times_reference, rounds=2)
+    t_ref, ref = best_of(response_times_reference, rounds=2)
     assert np.array_equal(vec, ref)
 
     out = benchmark.pedantic(

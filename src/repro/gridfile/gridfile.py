@@ -121,6 +121,9 @@ class GridFile:
         #: assert the cache is not rebuilt per query.
         self._sizes_cache: "np.ndarray | None" = None
         self._sizes_rebuilds = 0
+        #: Lazily filled per-bucket coordinate columns (see
+        #: :meth:`bucket_columns`); entries drop with :meth:`invalidate_caches`.
+        self._columns_cache: dict[int, np.ndarray] = {}
         #: Deletion triggers a buddy-merge attempt when a bucket's occupancy
         #: falls below ``merge_trigger * capacity``; a merge is performed only
         #: if the combined bucket stays below ``merge_fill * capacity``
@@ -273,7 +276,7 @@ class GridFile:
         cell = self.scales.locate(self.points[rid])
         bucket = self.buckets[self.directory.bucket_at(cell)]
         bucket.record_ids.append(rid)
-        self.invalidate_caches()
+        self.invalidate_caches(bucket.id)
         if self._listeners:
             self._emit("record", bucket.id, "insert")
         self._handle_overflow(bucket)
@@ -306,7 +309,7 @@ class GridFile:
         except ValueError:  # pragma: no cover - guarded by the directory
             raise KeyError(f"record {rid} not found in its bucket") from None
         self._deleted.add(rid)
-        self.invalidate_caches()
+        self.invalidate_caches(bucket.id)
         if bucket.overflowed and bucket.n_records <= self.capacity:
             bucket.overflowed = False
         if self._listeners:
@@ -608,14 +611,38 @@ class GridFile:
 
     # ------------------------------------------------------------ structure
 
-    def invalidate_caches(self) -> None:
-        """Drop derived caches (bucket sizes) after a structural mutation.
+    def invalidate_caches(self, bucket_id: "int | None" = None) -> None:
+        """Drop derived caches (bucket sizes, coordinate columns) after a mutation.
 
-        All built-in mutators (insert, delete, split, merge, refinement) call
-        this automatically; callers that mutate ``buckets[...].record_ids``
-        directly must call it themselves.
+        ``bucket_id`` names the one bucket whose records changed (a record
+        insert or delete); only its columns are dropped.  Without it every
+        bucket's columns go, as after a split, merge or renumbering.  All
+        built-in mutators call this automatically; callers that mutate
+        ``buckets[...].record_ids`` directly must call it themselves
+        (without an argument).
         """
         self._sizes_cache = None
+        if bucket_id is None:
+            self._columns_cache.clear()
+        else:
+            self._columns_cache.pop(bucket_id, None)
+
+    def bucket_columns(self, bucket_id: int) -> np.ndarray:
+        """Coordinates of a bucket's records as a read-only ``(d, n)`` array.
+
+        Column ``j`` holds the point of ``records_in_bucket(bucket_id)[j]``.
+        Built on first request and cached until :meth:`invalidate_caches`
+        drops it, so repeated query planning over a static file gathers each
+        bucket's records once.
+        """
+        try:
+            return self._columns_cache[bucket_id]
+        except KeyError:
+            pass
+        cols = np.ascontiguousarray(self.points[self.buckets[bucket_id].record_array()].T)
+        cols.flags.writeable = False
+        self._columns_cache[bucket_id] = cols
+        return cols
 
     def _bucket_sizes(self) -> np.ndarray:
         """Cached per-bucket record counts (do not mutate the result)."""

@@ -24,6 +24,8 @@ under the ``autoscale.control`` / ``autoscale.membership`` phases (see
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.obs import PROFILER
@@ -56,8 +58,10 @@ class AutoscalePolicy:
     control_steps = joins = leaves = peak_replicas = final_replicas = 0
 
     def bind(self, pipeline) -> None:
-        """Attach to one pipeline run (called once, before any routing)."""
-        self.pipe = pipeline
+        """Attach to one pipeline run (called once, before any routing).
+
+        The pipeline owns its policy, so the back-link is weak."""
+        self.pipe = weakref.proxy(pipeline)
 
     def route(self, plan, requests):
         """Map a plan's primary-grouped requests to the ones actually sent."""

@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.base import validate_assignment
 from repro.gridfile.query import RangeQuery
 from repro.parallel.message import BlockRequest
-from repro.parallel.replication import effective_disk
 from repro.parallel.stores import PageStore, as_page_store
 
 __all__ = ["Coordinator", "QueryPlan"]
@@ -38,9 +37,9 @@ class QueryPlan:
     #: Qualified records per node.
     qualified_per_node: dict[int, int]
     #: Candidate records per touched bucket (failover re-aggregation).
-    candidates_per_bucket: dict[int, int] = None  # type: ignore[assignment]
+    candidates_per_bucket: dict[int, int]
     #: Qualified records per touched bucket (failover re-aggregation).
-    qualified_per_bucket: dict[int, int] = None  # type: ignore[assignment]
+    qualified_per_bucket: dict[int, int]
 
     @property
     def response_by_definition(self) -> int:
@@ -108,48 +107,6 @@ class Coordinator:
         """Global disk ids owned by ``node``."""
         return range(node * self.disks_per_node, (node + 1) * self.disks_per_node)
 
-    def failover_requests(
-        self,
-        plan: QueryPlan,
-        req: BlockRequest,
-        failed_disks,
-        scheme: str,
-    ) -> "list[BlockRequest] | None":
-        """Re-route one request's buckets to replica disks (§3.5, degraded).
-
-        ``failed_disks`` is the coordinator's current suspicion set (every
-        disk of every node it believes down).  Each bucket is walked to its
-        effective replica disk under ``scheme`` (cascaded for chained);
-        surviving targets are regrouped into per-node requests carrying
-        ``target_disks`` so workers read the replica copies.  Returns ``None``
-        when some bucket has no live replica (the query must abort).
-        """
-        failed = {int(f) for f in failed_disks}
-        by_node: dict[int, list[tuple[int, int]]] = {}
-        for b in req.bucket_ids:
-            b = int(b)
-            target = effective_disk(int(self.assignment[b]), self.n_disks, failed, scheme)
-            if target is None:
-                return None
-            by_node.setdefault(self.node_of_disk(target), []).append((b, target))
-        out = []
-        for node in sorted(by_node):
-            pairs = by_node[node]
-            bids = np.array([b for b, _ in pairs], dtype=np.int64)
-            targets = np.array([d for _, d in pairs], dtype=np.int64)
-            out.append(
-                BlockRequest(
-                    query_id=req.query_id,
-                    node_id=node,
-                    bucket_ids=bids,
-                    candidates=sum(plan.candidates_per_bucket[b] for b, _ in pairs),
-                    qualified=sum(plan.qualified_per_bucket[b] for b, _ in pairs),
-                    attempt=0,  # fresh retry budget against the new target
-                    target_disks=targets,
-                )
-            )
-        return out
-
     def plan(self, query_id: int, query: RangeQuery) -> QueryPlan:
         """Translate a query into per-node block requests.
 
@@ -157,6 +114,11 @@ class Coordinator:
         :class:`repro.sql.plan.RoutedQuery` — e.g. the R-tree access path
         fetches only match-holding buckets) are honoured as-is; plain
         queries resolve against the store, the legacy behaviour.
+
+        Requests go out in ascending node order; each lists its buckets in
+        page-set order.  The counting is array work over the touched pages'
+        coordinate columns (see :meth:`_page_counts`), with no Python loop
+        per record and one per page only to fetch the columns.
         """
         page_ids = getattr(query, "page_ids", None)
         if page_ids is not None:
@@ -171,27 +133,29 @@ class Coordinator:
         qualified: dict[int, int] = {}
         cand_bucket: dict[int, int] = {}
         qual_bucket: dict[int, int] = {}
-        nodes = disks // self.disks_per_node
-        for node in np.unique(nodes):
-            node_bids = bids[nodes == node]
-            cand = 0
-            qual = 0
-            for b in node_bids:
-                rec = self.store.page_records(int(b))
-                bq = 0
-                if rec.size:
-                    bq = int(query.contains(self.store.record_coords(rec)).sum())
-                cand_bucket[int(b)] = rec.size
-                qual_bucket[int(b)] = bq
-                cand += rec.size
-                qual += bq
-            requests.append(
-                BlockRequest(
-                    query_id, int(node), node_bids, candidates=cand, qualified=qual
+        if bids.size:
+            nodes = disks // self.disks_per_node
+            bids = bids[np.argsort(nodes, kind="stable")]
+            bid_list = bids.tolist()
+            cand, qual = self._page_counts(bid_list, query)
+            cand_bucket = dict(zip(bid_list, cand.tolist()))
+            qual_bucket = dict(zip(bid_list, qual.tolist()))
+            per_node = np.bincount(nodes, minlength=self.n_nodes)
+            present = np.flatnonzero(per_node)
+            ends = np.cumsum(per_node[present])
+            starts = ends - per_node[present]
+            for node, s, e, c, q in zip(
+                present.tolist(),
+                starts.tolist(),
+                ends.tolist(),
+                np.add.reduceat(cand, starts).tolist(),
+                np.add.reduceat(qual, starts).tolist(),
+            ):
+                requests.append(
+                    BlockRequest(query_id, node, bids[s:e], candidates=c, qualified=q)
                 )
-            )
-            candidates[int(node)] = cand
-            qualified[int(node)] = qual
+                candidates[node] = c
+                qualified[node] = q
         return QueryPlan(
             query_id=query_id,
             requests=requests,
@@ -201,6 +165,30 @@ class Coordinator:
             candidates_per_bucket=cand_bucket,
             qualified_per_bucket=qual_bucket,
         )
+
+    def _page_counts(self, page_ids: list, query) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate and qualified record counts of each page in ``page_ids``.
+
+        The pages' coordinate columns are concatenated and tested against
+        the closed query box once per dimension; the number of qualified
+        positions before each page boundary, differenced, gives each
+        page's hits.
+        """
+        cols = list(map(self.store.page_columns, page_ids))
+        bounds = np.zeros(len(cols) + 1, dtype=np.int64)
+        np.cumsum([c.shape[1] for c in cols], out=bounds[1:])
+        cand = bounds[1:] - bounds[:-1]
+        if not bounds[-1]:
+            return cand, np.zeros_like(cand)
+        pts = np.concatenate(cols, axis=1)
+        lo = np.asarray(query.lo, dtype=np.float64)
+        hi = np.asarray(query.hi, dtype=np.float64)
+        inside = (pts[0] >= lo[0]) & (pts[0] <= hi[0])
+        for k in range(1, pts.shape[0]):
+            inside &= pts[k] >= lo[k]
+            inside &= pts[k] <= hi[k]
+        hits = inside.nonzero()[0].searchsorted(bounds)
+        return cand, hits[1:] - hits[:-1]
 
     def plan_cpu_time(self, plan: QueryPlan) -> float:
         """CPU time the coordinator spends producing ``plan``."""

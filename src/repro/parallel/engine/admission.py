@@ -23,6 +23,7 @@ Use :func:`make_admission` to build the controller a
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 __all__ = ["AdmissionController", "UnboundedAdmission", "BoundedAdmission", "make_admission"]
@@ -34,7 +35,8 @@ class AdmissionController:
     name = "base"
 
     def __init__(self, pipeline):
-        self.pipe = pipeline
+        # Weak: the pipeline owns its controller (no cycle to collect).
+        self.pipe = weakref.proxy(pipeline)
 
     def start(self, arrivals) -> None:
         """Schedule the workload's arrival instants on the simulator."""

@@ -17,6 +17,8 @@ not an absolute budget — large requests are not spuriously suspected.
 
 from __future__ import annotations
 
+import weakref
+
 from repro._util import as_rng
 from repro.parallel.message import BlockRequest
 
@@ -30,7 +32,8 @@ class DegradedMode:
     """Failure detection and recovery for one :class:`RequestPipeline` run."""
 
     def __init__(self, pipeline):
-        self.pipe = pipeline
+        # Weak: the pipeline owns this stage (no cycle to collect).
+        self.pipe = weakref.proxy(pipeline)
         #: Per-request timeout slack; None disables timeouts entirely.
         self.timeout = pipeline.params.request_timeout
         #: Nodes the coordinator currently believes down (timeout-detected).

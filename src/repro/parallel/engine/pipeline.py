@@ -355,10 +355,13 @@ class RequestPipeline:
                 self.submit(qid)
 
         self.on_complete = submit_next
-        for _ in range(max(1, self.params.pipeline_depth)):
-            submit_next()
-        with PROFILER.phase("cluster.run"):
-            self.sim.run()
+        try:
+            for _ in range(max(1, self.params.pipeline_depth)):
+                submit_next()
+            with PROFILER.phase("cluster.run"):
+                self.sim.run()
+        finally:
+            self.on_complete = None  # the closure holds ``self``
         return self.report()
 
     # -- reporting -----------------------------------------------------------

@@ -27,6 +27,8 @@ with the available names for unknown ones).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.parallel.message import BlockRequest
@@ -86,8 +88,10 @@ class ReplicaSelector:
     needs_replication = False
 
     def bind(self, pipeline) -> None:
-        """Attach to a pipeline run (called once, before any routing)."""
-        self.pipe = pipeline
+        """Attach to a pipeline run (called once, before any routing).
+
+        The pipeline owns its selector, so the back-link is weak."""
+        self.pipe = weakref.proxy(pipeline)
 
     def route(self, plan, requests) -> "list | None":
         """Map a plan's primary-grouped requests to the requests actually
@@ -117,9 +121,7 @@ class PrimaryOnlySelector(ReplicaSelector):
                 continue
             if pipe.params.replication is None:
                 return None
-            rerouted = pipe.coordinator.failover_requests(
-                plan, req, failed, pipe.params.replication
-            )
+            rerouted = self._reroute(plan, req, failed)
             if rerouted is None:
                 return None
             pipe.stats.n_failovers += 1
@@ -130,8 +132,19 @@ class PrimaryOnlySelector(ReplicaSelector):
         pipe = self.pipe
         if pipe.params.replication is None:
             return None
-        return pipe.coordinator.failover_requests(
-            plan, req, pipe.suspected_disks(), pipe.params.replication
+        return self._reroute(plan, req, pipe.suspected_disks())
+
+    def _reroute(self, plan, req, failed: set) -> "list | None":
+        """Send each of ``req``'s buckets to its effective replica disk
+        (cascaded for chained) and regroup them into per-node requests."""
+        pipe = self.pipe
+        assignment = pipe.coordinator.assignment
+        scheme = pipe.params.replication
+        return regroup_requests(
+            pipe,
+            plan,
+            req.bucket_ids,
+            lambda b: effective_disk(int(assignment[b]), pipe.n_disks, failed, scheme),
         )
 
 

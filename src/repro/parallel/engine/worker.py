@@ -14,6 +14,8 @@ instant — exactly the legacy code path, byte for byte.
 
 from __future__ import annotations
 
+import weakref
+
 __all__ = ["WorkerStage"]
 
 
@@ -31,7 +33,8 @@ class WorkerStage:
     """Serves delivered block requests on behalf of a pipeline run."""
 
     def __init__(self, pipeline):
-        self.pipe = pipeline
+        # Weak: the pipeline owns this stage (no cycle to collect).
+        self.pipe = weakref.proxy(pipeline)
 
     def receive(self, state) -> None:
         """A block request arrives at its target node (post network)."""

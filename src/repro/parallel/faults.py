@@ -32,6 +32,7 @@ points of lossy links — so the same plan + seed reproduces a run exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,7 +207,8 @@ class FaultInjector:
         """Schedule every planned event on the engine's simulator."""
         if self._engine is not None:
             raise RuntimeError("FaultInjector already installed; use one per run")
-        self._engine = engine
+        # Weak: the engine owns its injector (no cycle to collect).
+        self._engine = weakref.proxy(engine)
         for ev in self.plan.sorted_events():
             engine.sim.schedule_at(ev.time, self._apply, ev)
 

@@ -231,6 +231,7 @@ class _OnlineDriver:
                 self.sim.run()
         finally:
             self.gf.remove_listener(self)
+            self.pipe.on_complete = None  # the bound method holds ``self``
         if self._op_i < len(self.ops):  # pragma: no cover - defensive
             raise RuntimeError("simulation drained with operations pending")
 

@@ -2,7 +2,9 @@
 
 The SPMD protocol only needs three things from a storage structure: which
 pages a query touches, which records a page holds, and the record
-coordinates.  :class:`PageStore` captures that contract;
+coordinates.  :class:`PageStore` captures that contract, plus
+:meth:`~PageStore.page_columns`, the per-page coordinate columns the
+coordinator's vectorised planner filters;
 :class:`GridFileStore` and :class:`RTreeStore` adapt the two structures, so
 the *parallel R-tree* runs on the same simulated SP-2 as the parallel grid
 file (``benchmarks/bench_ext_rtree_cluster.py``).
@@ -57,6 +59,17 @@ class PageStore(ABC):
     def record_coords(self, record_ids: np.ndarray) -> np.ndarray:
         """Coordinates of the given records, shape ``(n, d)``."""
 
+    def page_columns(self, page_id: int) -> np.ndarray:
+        """Coordinates of a page's records as a read-only ``(d, n)`` array.
+
+        Column ``j`` is the point of ``page_records(page_id)[j]``.  This
+        default gathers them on every call; stores that can keep them
+        between calls override it.
+        """
+        cols = np.ascontiguousarray(self.record_coords(self.page_records(page_id)).T)
+        cols.flags.writeable = False
+        return cols
+
 
 class GridFileStore(PageStore):
     """A grid file as a page store (page = bucket)."""
@@ -76,6 +89,9 @@ class GridFileStore(PageStore):
 
     def record_coords(self, record_ids: np.ndarray) -> np.ndarray:
         return self.gf.points[np.asarray(record_ids, dtype=np.int64)]
+
+    def page_columns(self, page_id: int) -> np.ndarray:
+        return self.gf.bucket_columns(page_id)
 
 
 class DurableGridFileStore(GridFileStore):

@@ -9,6 +9,8 @@ the grid file's buckets.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro._util import check_positive_int
@@ -30,13 +32,27 @@ class RTreeNode:
         Record ids (leaf) or :class:`RTreeNode` children (internal).
     """
 
-    __slots__ = ("is_leaf", "mbr", "entries", "parent")
+    __slots__ = ("is_leaf", "mbr", "entries", "_parent", "__weakref__")
 
     def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
         self.mbr: "MBR | None" = None
         self.entries: list = []
-        self.parent: "RTreeNode | None" = None
+        self._parent = None
+
+    @property
+    def parent(self) -> "RTreeNode | None":
+        """The node holding this one in its entries (``None`` at the root).
+
+        Held weakly: parents own their children through ``entries``, so a
+        strong back-link would make every tree a reference cycle that only
+        the cyclic garbage collector could free.
+        """
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, node: "RTreeNode | None") -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     @property
     def n_entries(self) -> int:
@@ -291,24 +307,7 @@ class RTree:
         if n == 0:
             return tree
 
-        def tile(ids: np.ndarray, dim: int) -> list[np.ndarray]:
-            """Recursively sort-and-slice record ids into leaf groups."""
-            if ids.size <= max_entries:
-                return [ids]
-            order = ids[np.argsort(points[ids, dim], kind="stable")]
-            n_pages = int(np.ceil(ids.size / max_entries))
-            n_slabs = int(np.ceil(n_pages ** (1.0 / (d - dim)))) if dim < d - 1 else n_pages
-            per_slab = int(np.ceil(ids.size / n_slabs))
-            out = []
-            for s in range(0, ids.size, per_slab):
-                chunk = order[s : s + per_slab]
-                if dim < d - 1:
-                    out.extend(tile(chunk, dim + 1))
-                else:
-                    out.append(chunk)
-            return out
-
-        groups = tile(np.arange(n, dtype=np.int64), 0)
+        groups = _str_tile(points, np.arange(n, dtype=np.int64), 0, max_entries)
         level: list[RTreeNode] = []
         for g in groups:
             leaf = RTreeNode(is_leaf=True)
@@ -371,6 +370,27 @@ class RTree:
             f"RTree(n_records={self._n}, leaves={len(self.leaves())}, "
             f"height={self.height()}, max_entries={self.max_entries})"
         )
+
+
+def _str_tile(
+    points: np.ndarray, ids: np.ndarray, dim: int, max_entries: int
+) -> list[np.ndarray]:
+    """Recursively sort-and-slice record ids into STR leaf groups."""
+    if ids.size <= max_entries:
+        return [ids]
+    d = points.shape[1]
+    order = ids[np.argsort(points[ids, dim], kind="stable")]
+    n_pages = int(np.ceil(ids.size / max_entries))
+    n_slabs = int(np.ceil(n_pages ** (1.0 / (d - dim)))) if dim < d - 1 else n_pages
+    per_slab = int(np.ceil(ids.size / n_slabs))
+    out = []
+    for s in range(0, ids.size, per_slab):
+        chunk = order[s : s + per_slab]
+        if dim < d - 1:
+            out.extend(_str_tile(points, chunk, dim + 1, max_entries))
+        else:
+            out.append(chunk)
+    return out
 
 
 def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:

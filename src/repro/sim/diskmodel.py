@@ -163,23 +163,6 @@ def resolve_query_buckets(gf: GridFile, queries) -> BucketListSet:
         return BucketListSet.from_queries(gf, queries)
 
 
-def _response_times_reference(
-    bucket_lists, assignment: np.ndarray, n_disks: int
-) -> np.ndarray:
-    """Per-query loop kept as the oracle for the vectorized kernel."""
-    check_positive_int(n_disks, "n_disks")
-    assignment = np.asarray(assignment, dtype=np.int64)
-    bucket_lists = as_bucket_list_set(bucket_lists)
-    out = np.empty(len(bucket_lists), dtype=np.int64)
-    for i, bids in enumerate(bucket_lists):
-        if len(bids) == 0:
-            out[i] = 0
-            continue
-        counts = np.bincount(assignment[bids], minlength=n_disks)
-        out[i] = counts.max()
-    return out
-
-
 def response_times(
     bucket_lists, assignment: np.ndarray, n_disks: int
 ) -> np.ndarray:

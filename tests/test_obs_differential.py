@@ -21,7 +21,8 @@ from repro.gridfile import GridFile
 from repro.obs import Tracer
 from repro.parallel import ParallelGridFile
 from repro.sim import resolve_query_buckets, square_queries
-from repro.sim.diskmodel import _response_times_reference, response_times
+from repro.sim.diskmodel import response_times
+from tests.oracles import response_times_reference
 
 N_DISKS = 4
 
@@ -56,7 +57,7 @@ def test_trace_reconstruction_matches_both_kernels(spec, seed):
 
     bls = resolve_query_buckets(gf, queries)
     vectorized = response_times(bls, assignment, N_DISKS)
-    reference = _response_times_reference(bls, assignment, N_DISKS)
+    reference = response_times_reference(bls, assignment, N_DISKS)
 
     np.testing.assert_array_equal(vectorized, reference)
     np.testing.assert_array_equal(from_trace, vectorized)

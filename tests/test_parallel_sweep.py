@@ -18,11 +18,11 @@ from repro.gridfile import GridFile
 from repro.sim import square_queries, sweep_methods
 from repro.sim.diskmodel import (
     BucketListSet,
-    _response_times_reference,
     query_buckets,
     resolve_query_buckets,
     response_times,
 )
+from tests.oracles import response_times_reference
 
 FIG6_METHODS = ["dm/D", "fx/D", "hcam/D", "ssp", "minimax"]
 DISKS_QUICK = [4, 8, 16, 24, 32]
@@ -79,7 +79,7 @@ class TestResponseTimeKernel:
         bls = BucketListSet.from_lists(lists)
         assert np.array_equal(
             response_times(bls, assignment, n_disks),
-            _response_times_reference(bls, assignment, n_disks),
+            response_times_reference(bls, assignment, n_disks),
         )
 
     def test_matches_reference_across_blocks(self, rng, monkeypatch):
@@ -91,7 +91,7 @@ class TestResponseTimeKernel:
         lists = [rng.integers(0, n_buckets, size=int(rng.integers(0, 20)))
                  for _ in range(97)]
         bls = BucketListSet.from_lists(lists)
-        expect = _response_times_reference(bls, assignment, n_disks)
+        expect = response_times_reference(bls, assignment, n_disks)
         monkeypatch.setattr(dm, "_KERNEL_CELL_BUDGET", 64)
         assert np.array_equal(response_times(bls, assignment, n_disks), expect)
 
