@@ -4,6 +4,7 @@ Nothing in this package is part of the public API; the stable surface is
 re-exported from :mod:`repro` and its subpackages.
 """
 
+from repro._util.geometry import euclidean_norms
 from repro._util.plot import line_chart
 from repro._util.rng import as_rng, spawn_rng
 from repro._util.tables import format_table, format_series
@@ -15,6 +16,7 @@ from repro._util.validate import (
 
 __all__ = [
     "as_rng",
+    "euclidean_norms",
     "spawn_rng",
     "format_table",
     "format_series",

@@ -462,9 +462,11 @@ class GridFile:
     def _refine_for(self, b: Bucket) -> bool:
         """Insert a scale boundary through ``b``'s single cell.
 
-        Tries dimensions cyclically, skipping those where the records do not
-        have at least two distinct coordinates (a boundary there could never
-        separate them).  Returns False when every dimension is degenerate.
+        Tries dimensions cyclically, skipping those where no boundary
+        strictly inside the cell's interval separates the records: fewer
+        than two distinct coordinates, or distinct values so close to the
+        domain's upper edge that the only separating value is that edge.
+        Returns False when every dimension is skipped.
         """
         rec = b.record_array()
         cell = b.cellbox.lo
@@ -476,6 +478,8 @@ class GridFile:
                 continue
             lo, hi = self.scales.interval(k, int(cell[k]))
             value = self._boundary_value(distinct, coords, lo, hi)
+            if value is None:
+                continue
             interval = self.scales.insert_boundary(k, value)
             self.directory.refine(k, interval)
             for bb in self.buckets:
@@ -488,11 +492,14 @@ class GridFile:
 
     def _boundary_value(
         self, distinct: np.ndarray, coords: np.ndarray, lo: float, hi: float
-    ) -> float:
-        """Choose the new boundary value inside ``(lo, hi)`` per split policy."""
+    ) -> "float | None":
+        """Choose the new boundary value inside ``(lo, hi)`` per split policy.
+
+        Returns ``None`` when no separating value lies strictly inside.
+        """
         if self.split_policy == "midpoint":
             mid = (lo + hi) / 2.0
-            if distinct[0] < mid <= distinct[-1]:
+            if distinct[0] < mid <= distinct[-1] and lo < mid < hi:
                 return mid
             # Midpoint would not separate the records; fall through to a
             # separating value so insertion always terminates.
@@ -507,9 +514,12 @@ class GridFile:
         # boundary-equal points to the upper interval.
         collapsed = mids <= distinct[:-1]
         mids[collapsed] = distinct[1:][collapsed]
-        value = float(mids[np.argmin(np.abs(mids - target))])
-        assert lo < value < hi
-        return value
+        # A gap between the last two floats below the domain's upper edge
+        # can collapse onto that edge, which is no boundary.
+        mids = mids[(lo < mids) & (mids < hi)]
+        if mids.size == 0:
+            return None
+        return float(mids[np.argmin(np.abs(mids - target))])
 
     # --------------------------------------------------------------- querying
 

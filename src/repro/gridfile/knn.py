@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_positive_int
+from repro._util import check_positive_int, euclidean_norms
 from repro.gridfile.gridfile import GridFile
 
 __all__ = ["knn_query", "min_distance_to_boxes"]
@@ -23,7 +23,7 @@ def min_distance_to_boxes(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     """Euclidean distance from a point to each closed box (0 if inside)."""
     point = np.asarray(point, dtype=np.float64)
     gap = np.maximum(np.maximum(lo - point, point - hi), 0.0)
-    return np.sqrt((gap**2).sum(axis=1))
+    return euclidean_norms(gap)
 
 
 def knn_query(gf: GridFile, point, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +66,7 @@ def knn_query(gf: GridFile, point, k: int) -> tuple[np.ndarray, np.ndarray]:
         if mind[bid] > kth:
             break
         rec = gf.records_in_bucket(int(bid))
-        d = np.sqrt(((gf.points[rec] - point) ** 2).sum(axis=1))
+        d = euclidean_norms(gf.points[rec] - point)
         best_ids.extend(rec.tolist())
         best_d.extend(d.tolist())
         if len(best_ids) >= k:

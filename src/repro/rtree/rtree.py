@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from repro._util import check_positive_int
+from repro._util import check_positive_int, euclidean_norms
 from repro.rtree.mbr import MBR
 
 __all__ = ["RTree", "RTreeNode", "knn_query"]
@@ -410,8 +410,6 @@ def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import heapq
 
-    from repro._util import check_positive_int
-
     check_positive_int(k, "k")
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (tree.dims,):
@@ -422,12 +420,13 @@ def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k == 0 or tree.root.mbr is None:
         return np.empty(0, dtype=np.int64), np.empty(0)
 
-    def node_dist(node: RTreeNode) -> float:
-        gap = np.maximum(np.maximum(node.mbr.lo - point, point - node.mbr.hi), 0.0)
-        return float(np.sqrt((gap**2).sum()))
+    def node_dists(nodes) -> list:
+        lo = np.array([n.mbr.lo for n in nodes])
+        hi = np.array([n.mbr.hi for n in nodes])
+        return euclidean_norms(np.maximum(np.maximum(lo - point, point - hi), 0.0)).tolist()
 
     counter = 0  # heap tie-breaker
-    heap: list = [(node_dist(tree.root), 0, counter, False, tree.root)]
+    heap: list = [(node_dists([tree.root])[0], 0, counter, False, tree.root)]
     while heap and len(out_ids) < k:
         dist, rid, _, is_record, payload = heapq.heappop(heap)
         if is_record:
@@ -436,12 +435,12 @@ def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:
             continue
         node = payload
         if node.is_leaf:
-            for r in node.entries:
-                d = float(np.sqrt(((tree.points[r] - point) ** 2).sum()))
+            dists = euclidean_norms(tree.points[node.entries] - point).tolist()
+            for r, d in zip(node.entries, dists):
                 counter += 1
                 heapq.heappush(heap, (d, int(r), counter, True, None))
         else:
-            for child in node.entries:
+            for child, d in zip(node.entries, node_dists(node.entries)):
                 counter += 1
-                heapq.heappush(heap, (node_dist(child), 0, counter, False, child))
+                heapq.heappush(heap, (d, 0, counter, False, child))
     return np.asarray(out_ids, dtype=np.int64), np.asarray(out_d)

@@ -93,7 +93,7 @@ class WriteAheadLog:
         fsync the log inside :meth:`commit` (the durable default).  With
         ``False`` the log is only fsynced at checkpoints — commits may be
         lost on crash, but recovery still lands on a consistent prefix
-        (``benchmarks/bench_ext_durability.py`` measures the gap).
+        (``benchmarks/bench_ext_durability.py`` counts the fsyncs saved).
     file_factory:
         Replacement for ``open`` (fault injection — see
         :class:`~repro.storage.faults.FaultyFile`).

@@ -80,6 +80,27 @@ class TestInsert:
         assert stats.n_overflowed >= 1
         gf.check_invariants()
 
+    def test_adjacent_floats_at_domain_edge_overflow(self):
+        """Values one ulp below the domain's upper edge have no boundary.
+
+        The midpoint of 1 - 2**-53 and 1.0 rounds to 1.0, the domain edge,
+        so no scale boundary can separate the records: the bucket is
+        flagged overflowed instead (the slow stateful suite's example).
+        """
+        gf = GridFile.empty([0, 0], [1, 1], capacity=6)
+        for _ in range(6):
+            gf.insert_point((1.0, 1.0))
+        gf.insert_point((1.0, 0.9999999999999999))
+        assert gf.n_records == 7
+        assert gf.n_buckets == 1
+        assert gf.buckets[0].overflowed
+        gf.check_invariants()
+        # The file stays usable; like any overflowed bucket, this one takes
+        # further records in place until deletes bring it under capacity.
+        gf.insert_point((0.1, 0.1))
+        assert gf.n_records == 8
+        gf.check_invariants()
+
     def test_duplicates_plus_spread_still_works(self):
         gf = GridFile.empty([0, 0], [10, 10], capacity=3)
         for _ in range(5):

@@ -212,6 +212,10 @@ def _script(draw):
 )
 @given(_script())
 def test_fuzzed_scripts_match_oracle(script):
+    _assert_matches_oracle(script)
+
+
+def _assert_matches_oracle(script):
     eng = SqlEngine(n_disks=4)
     db = NaiveDatabase()
     results = eng.execute_script(script)
@@ -222,6 +226,19 @@ def test_fuzzed_scripts_match_oracle(script):
         assert list(res.record_ids) == list(ref.record_ids), script
         if res.kind == "select":
             assert res.rows == ref.rows, script
+
+
+@pytest.mark.parametrize("paths", ["GRIDFILE", "RTREE", "GRIDFILE, RTREE"])
+def test_nearest_ranks_gaps_whose_squares_underflow(paths):
+    """A gap of ~1e-215 squares to 0.0; it must still rank behind 0.0.
+
+    A falsifying example of ``test_fuzzed_scripts_match_oracle``.
+    """
+    _assert_matches_oracle(
+        f"CREATE TABLE t (x REAL(0.0, 1.0)) USING {paths} CAPACITY 2;\n"
+        "INSERT INTO t VALUES (1.8754584434475986e-215), (0.0);\n"
+        "SELECT * FROM t NEAREST 1 TO (0.0);"
+    )
 
 
 # ------------------------------------------------------ malformed inputs

@@ -11,11 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.gridfile import GridFile
 from repro.storage import (
     DATA_FILE,
     HEADER_SIZE,
     META_PAGE,
     CrashClock,
+    DurableGridFile,
     FaultyFile,
     InjectedCrash,
     StorageEngine,
@@ -52,9 +54,28 @@ def test_enumerate_boundaries_covers_writes_and_syncs(tmp_path):
     assert phases == {"before", "mid"}
 
 
+def _catalog_rewrites(ops, directory) -> list:
+    """Per op of ``ops``: whether its commit rewrote the catalog."""
+    d = DurableGridFile.create(
+        GridFile.empty((0.0, 0.0), (1.0, 1.0), capacity=4), directory, page_size=PAGE
+    )
+    kinds = []
+    for op in ops:
+        d.apply(op)
+        pid = d._catalog_pages[0]
+        header, _ = unpack_page(d.engine.store.read_page(pid), pid)
+        kinds.append(header.lsn == d.engine.commit_seq)
+    d.close()
+    return kinds
+
+
 def test_crash_matrix_small_both_phases(tmp_path):
     """Tier-1: every crash point of a short workload recovers byte-perfectly."""
     ops = default_workload(n_ops=6)
+    # The crash points cover both kinds of commit: one that rewrites the
+    # catalog (after a split) and one that writes only a bucket page.
+    kinds = _catalog_rewrites(ops, tmp_path / "kinds")
+    assert True in kinds and False in kinds
     report = run_crash_matrix(ops, tmp_path, page_size=PAGE)
     assert report.ok, report.failures
     assert report.n_crashed > 0
