@@ -7,7 +7,6 @@ same workload: which structure + declustering combination answers range
 queries with the least disk traffic?
 """
 
-import numpy as np
 from conftest import SEED, once
 
 from repro._util import format_table
@@ -41,7 +40,7 @@ def _run():
         rows.append(["r-tree", "minimax", m, round(rtm.mean_response, 3), round(rtm.mean_optimal, 3)])
     stats = {
         "gf_pages": int(gf.nonempty_bucket_ids().size),
-        "rt_pages": len(rt.leaves()),
+        "rt_pages": rt.n_leaves,
     }
     return rows, stats
 

@@ -124,6 +124,10 @@ class GridFile:
         #: Lazily filled per-bucket coordinate columns (see
         #: :meth:`bucket_columns`); entries drop with :meth:`invalidate_caches`.
         self._columns_cache: dict[int, np.ndarray] = {}
+        #: Cached read-only cell boxes and domain regions of every bucket
+        #: (see :meth:`bucket_cell_boxes`); dropped on structural change.
+        self._cell_boxes: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._regions: "tuple[np.ndarray, np.ndarray] | None" = None
         #: Deletion triggers a buddy-merge attempt when a bucket's occupancy
         #: falls below ``merge_trigger * capacity``; a merge is performed only
         #: if the combined bucket stays below ``merge_fill * capacity``
@@ -417,9 +421,11 @@ class GridFile:
         Returns the newly created bucket, or ``None`` when the records cannot
         be separated by any boundary (all coincide in every dimension).
         """
+        # Before the refinement too: it shifts every cell box, and its
+        # listeners may read the bucket regions.
+        self.invalidate_caches()
         if b.cellbox.n_cells == 1 and not self._refine_for(b):
             return None
-        self.invalidate_caches()
         dim, cut = self._choose_cut(b)
         lower, upper = b.cellbox.split_at(dim, cut)
         plane = self.scales.edges(dim)[cut]
@@ -622,11 +628,12 @@ class GridFile:
     # ------------------------------------------------------------ structure
 
     def invalidate_caches(self, bucket_id: "int | None" = None) -> None:
-        """Drop derived caches (bucket sizes, coordinate columns) after a mutation.
+        """Drop derived caches (bucket sizes, coordinate columns, boxes) after a mutation.
 
         ``bucket_id`` names the one bucket whose records changed (a record
         insert or delete); only its columns are dropped.  Without it every
-        bucket's columns go, as after a split, merge or renumbering.  All
+        bucket's columns and the bucket boxes and regions go, as after a
+        split, merge, renumbering or scale refinement.  All
         built-in mutators call this automatically; callers that mutate
         ``buckets[...].record_ids`` directly must call it themselves
         (without an argument).
@@ -634,6 +641,7 @@ class GridFile:
         self._sizes_cache = None
         if bucket_id is None:
             self._columns_cache.clear()
+            self._cell_boxes = self._regions = None
         else:
             self._columns_cache.pop(bucket_id, None)
 
@@ -676,15 +684,26 @@ class GridFile:
         return np.nonzero(self._bucket_sizes() > 0)[0]
 
     def bucket_cell_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell boxes of all buckets as two ``(n_buckets, d)`` int arrays."""
-        lo = np.stack([b.cellbox.lo for b in self.buckets])
-        hi = np.stack([b.cellbox.hi for b in self.buckets])
-        return lo, hi
+        """Cell boxes of all buckets as two read-only ``(n_buckets, d)`` int arrays.
+
+        Built once and cached until a structural change (see
+        :meth:`invalidate_caches`).
+        """
+        if self._cell_boxes is None:
+            self._cell_boxes = _read_only(
+                np.stack([b.cellbox.lo for b in self.buckets]),
+                np.stack([b.cellbox.hi for b in self.buckets]),
+            )
+        return self._cell_boxes
 
     def bucket_regions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Domain-coordinate regions of all buckets (``(n_buckets, d)`` floats)."""
-        lo, hi = self.bucket_cell_boxes()
-        return self.scales.box_bounds(lo, hi)
+        """Domain-coordinate regions of all buckets (read-only ``(n_buckets, d)`` floats).
+
+        Cached like :meth:`bucket_cell_boxes`.
+        """
+        if self._regions is None:
+            self._regions = _read_only(*self.scales.box_bounds(*self.bucket_cell_boxes()))
+        return self._regions
 
     def stats(self) -> GridFileStats:
         """Structural summary (bucket counts, merging, occupancy)."""
@@ -710,7 +729,8 @@ class GridFile:
         Checked: directory shape matches scales; every bucket's directory
         region equals exactly its cell box; boxes tile the grid; every record
         lies in the bucket owning its cell; occupancy respects capacity
-        unless flagged overflowed.
+        unless flagged overflowed; cached bucket boxes and regions are
+        current.
         """
         assert self.directory.shape == self.scales.nintervals
         covered = np.zeros(self.directory.shape, dtype=bool)
@@ -737,6 +757,20 @@ class GridFile:
             assert not seen[deleted].any(), "deleted record still in a bucket"
             seen[deleted] = True
         assert seen.all(), "lost records"
+        lo = np.stack([b.cellbox.lo for b in self.buckets])
+        hi = np.stack([b.cellbox.hi for b in self.buckets])
+        if self._cell_boxes is not None:
+            assert all(map(np.array_equal, self._cell_boxes, (lo, hi))), "stale cell boxes"
+        if self._regions is not None:
+            fresh = self.scales.box_bounds(lo, hi)
+            assert all(map(np.array_equal, self._regions, fresh)), "stale bucket regions"
 
     def __repr__(self) -> str:
         return f"GridFile({self.stats()})"
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """Mark shared cache arrays read-only and return them as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

@@ -152,25 +152,20 @@ def make_store(
 
 
 class RTreeStore(PageStore):
-    """An R-tree as a page store (page = leaf, ordered as ``RTree.leaves``)."""
+    """An R-tree as a page store (page = leaf, in the tree's leaf order)."""
 
     def __init__(self, tree: RTree):
         self.tree = tree
-        self._leaves = tree.leaves()
-        self._index_of = {id(leaf): i for i, leaf in enumerate(self._leaves)}
 
     @property
     def n_pages(self) -> int:
-        return len(self._leaves)
+        return self.tree.n_leaves
 
     def query_pages(self, lo, hi) -> np.ndarray:
-        hit = self.tree.query_leaves(lo, hi)
-        return np.asarray(
-            sorted(self._index_of[id(leaf)] for leaf in hit), dtype=np.int64
-        )
+        return self.tree.query_leaves(lo, hi)
 
     def page_records(self, page_id: int) -> np.ndarray:
-        return np.asarray(self._leaves[page_id].entries, dtype=np.int64)
+        return self.tree.leaf_records(page_id)
 
     def record_coords(self, record_ids: np.ndarray) -> np.ndarray:
         return self.tree.points[np.asarray(record_ids, dtype=np.int64)]

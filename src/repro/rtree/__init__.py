@@ -5,9 +5,9 @@ The paper positions grid files against tree-based multidimensional indexes
 *parallel R-trees* — R-trees whose leaf pages are declustered over a disk
 farm.  This package provides that comparison substrate:
 
-* :class:`~repro.rtree.rtree.RTree` — Guttman R-tree with least-enlargement
-  ChooseLeaf and quadratic node splitting, plus Sort-Tile-Recursive (STR)
-  bulk loading for large datasets;
+* :class:`~repro.rtree.rtree.RTree` — a Sort-Tile-Recursive (STR)
+  bulk-loaded R-tree stored as per-level MBR arrays, with range queries and
+  best-first k-nearest neighbours;
 * :mod:`~repro.rtree.decluster` — declustering of the leaf pages with the
   same algorithms used for grid files (minimax / SSP over leaf MBRs, the
   Kamel–Faloutsos Hilbert-centroid round robin, random), and response-time
@@ -25,13 +25,11 @@ from repro.rtree.decluster import (
     minimax_leaf_assignment,
     ssp_leaf_assignment,
 )
-from repro.rtree.mbr import MBR
 from repro.rtree.persistence import load_rtree, save_rtree
 from repro.rtree.rtree import RTree, knn_query as rtree_knn_query
 
 __all__ = [
     "RTree",
-    "MBR",
     "save_rtree",
     "rtree_knn_query",
     "load_rtree",

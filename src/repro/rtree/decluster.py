@@ -31,18 +31,15 @@ __all__ = [
 def leaf_regions(tree: RTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leaf MBRs and domain lengths.
 
-    Returns ``(lo, hi, lengths)`` with ``lo``/``hi`` of shape
-    ``(n_leaves, d)`` and ``lengths`` the extent of the root MBR (the data
-    domain the proximity index normalizes by).
+    Returns ``(lo, hi, lengths)`` with ``lo``/``hi`` the tree's read-only
+    ``(n_leaves, d)`` leaf level and ``lengths`` the extent of the root MBR
+    (the data domain the proximity index normalizes by).
     """
-    leaves = tree.leaves()
-    if not leaves or leaves[0].mbr is None:
+    if tree.n_records == 0:
         d = tree.dims
         return np.empty((0, d)), np.empty((0, d)), np.ones(d)
-    lo = np.stack([leaf.mbr.lo for leaf in leaves])
-    hi = np.stack([leaf.mbr.hi for leaf in leaves])
-    lengths = np.maximum(tree.root.mbr.hi - tree.root.mbr.lo, 1e-12)
-    return lo, hi, lengths
+    lengths = np.maximum(tree.hi[-1][0] - tree.lo[-1][0], 1e-12)
+    return tree.lo[0], tree.hi[0], lengths
 
 
 def hilbert_leaf_assignment(tree: RTree, n_disks: int, bits: int = 12) -> np.ndarray:
@@ -54,7 +51,7 @@ def hilbert_leaf_assignment(tree: RTree, n_disks: int, bits: int = 12) -> np.nda
     if n == 0:
         return np.empty(0, dtype=np.int64)
     centers = (lo + hi) / 2.0
-    origin = tree.root.mbr.lo
+    origin = tree.lo[-1][0]
     cells = ((centers - origin) / lengths * ((1 << bits) - 1)).astype(np.int64)
     cells = np.clip(cells, 0, (1 << bits) - 1)
     curve = HilbertCurve(dims=tree.dims, bits=min(bits, 62 // tree.dims))
@@ -92,24 +89,19 @@ def evaluate_rtree_queries(
 ) -> QueryEvaluation:
     """Response-time evaluation of a declustered R-tree (paper §2.2 metric).
 
-    ``assignment`` indexes :meth:`RTree.leaves` order.
+    ``assignment`` maps each leaf (in leaf order) to a disk.
     """
     check_positive_int(n_disks, "n_disks")
-    leaves = tree.leaves()
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (len(leaves),):
-        raise ValueError(f"assignment must have shape ({len(leaves)},)")
-    index_of = {id(leaf): i for i, leaf in enumerate(leaves)}
-    response = np.empty(len(queries), dtype=np.int64)
+    if assignment.shape != (tree.n_leaves,):
+        raise ValueError(f"assignment must have shape ({tree.n_leaves},)")
+    response = np.zeros(len(queries), dtype=np.int64)
     touched = np.empty(len(queries), dtype=np.int64)
     for qi, q in enumerate(queries):
         hit = tree.query_leaves(q.lo, q.hi)
-        touched[qi] = len(hit)
-        if not hit:
-            response[qi] = 0
-            continue
-        disks = assignment[[index_of[id(leaf)] for leaf in hit]]
-        response[qi] = np.bincount(disks, minlength=n_disks).max()
+        touched[qi] = hit.size
+        if hit.size:
+            response[qi] = np.bincount(assignment[hit], minlength=n_disks).max()
     return QueryEvaluation(
         response=response,
         buckets_touched=touched,

@@ -1,108 +1,34 @@
 """Saving/loading R-trees.
 
-Serializes the full node structure (not just the points), so a bulk-loaded
-or dynamically grown tree round-trips exactly — leaf order, MBRs and parent
-links included.  That matters because leaf *order* is the declustering
-domain (`RTree.leaves()` indexes assignments).
+An R-tree is a deterministic function of its points and page capacity
+(:meth:`RTree.bulk_load`), so the archive stores just those two and
+loading rebuilds the tree: leaf order — the declustering domain that
+assignments index — round-trips exactly.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from repro.rtree.mbr import MBR
-from repro.rtree.rtree import RTree, RTreeNode
+from repro.rtree.rtree import RTree
 
 __all__ = ["save_rtree", "load_rtree"]
 
 
-def _collect_nodes(tree: RTree) -> list[RTreeNode]:
-    """All nodes in a deterministic preorder (root first)."""
-    out: list[RTreeNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not node.is_leaf:
-            stack.extend(reversed(node.entries))
-    return out
-
-
 def save_rtree(tree: RTree, path) -> None:
     """Serialize an R-tree to a single ``.npz`` archive."""
-    nodes = _collect_nodes(tree)
-    index_of = {id(n): i for i, n in enumerate(nodes)}
-    is_leaf = np.array([n.is_leaf for n in nodes], dtype=bool)
-    has_mbr = np.array([n.mbr is not None for n in nodes], dtype=bool)
-    d = tree.dims
-    mbr_lo = np.zeros((len(nodes), d))
-    mbr_hi = np.zeros((len(nodes), d))
-    for i, n in enumerate(nodes):
-        if n.mbr is not None:
-            mbr_lo[i] = n.mbr.lo
-            mbr_hi[i] = n.mbr.hi
-    entries: list[int] = []
-    offsets = [0]
-    for n in nodes:
-        if n.is_leaf:
-            entries.extend(int(r) for r in n.entries)
-        else:
-            entries.extend(index_of[id(c)] for c in n.entries)
-        offsets.append(len(entries))
-    np.savez_compressed(
-        Path(path),
-        points=tree.coords(),
-        is_leaf=is_leaf,
-        has_mbr=has_mbr,
-        mbr_lo=mbr_lo,
-        mbr_hi=mbr_hi,
-        entries=np.asarray(entries, dtype=np.int64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        meta=np.frombuffer(
-            json.dumps(
-                {
-                    "dims": tree.dims,
-                    "max_entries": tree.max_entries,
-                    "min_entries": tree.min_entries,
-                }
-            ).encode(),
-            dtype=np.uint8,
-        ),
-    )
+    np.savez_compressed(Path(path), points=tree.coords(), max_entries=tree.max_entries)
 
 
 def load_rtree(path) -> RTree:
-    """Load an R-tree saved with :func:`save_rtree`."""
+    """Load an R-tree saved with :func:`save_rtree`.
+
+    Raises ``ValueError`` for an archive in the older node-list format
+    (per-node entries and MBRs), which this module no longer reads.
+    """
     with np.load(Path(path)) as z:
-        meta = json.loads(bytes(z["meta"]).decode())
-        tree = RTree(
-            dims=meta["dims"],
-            max_entries=meta["max_entries"],
-            min_entries=meta["min_entries"],
-        )
-        tree.points = z["points"].copy()
-        tree._n = tree.points.shape[0]
-
-        is_leaf = z["is_leaf"]
-        has_mbr = z["has_mbr"]
-        mbr_lo = z["mbr_lo"]
-        mbr_hi = z["mbr_hi"]
-        entries = z["entries"]
-        offsets = z["offsets"]
-
-        nodes = [RTreeNode(is_leaf=bool(l)) for l in is_leaf]
-        for i, node in enumerate(nodes):
-            if has_mbr[i]:
-                node.mbr = MBR(mbr_lo[i], mbr_hi[i])
-            ent = entries[offsets[i] : offsets[i + 1]]
-            if node.is_leaf:
-                node.entries = [int(r) for r in ent]
-            else:
-                node.entries = [nodes[int(c)] for c in ent]
-                for c in node.entries:
-                    c.parent = node
-        tree.root = nodes[0] if nodes else tree.root
-        return tree
+        if "max_entries" not in z.files:
+            raise ValueError(f"{path}: not a points + max_entries R-tree archive")
+        return RTree.bulk_load(z["points"], max_entries=int(z["max_entries"]))

@@ -249,24 +249,21 @@ def _cardenas(b_ne: int, records: float) -> float:
 
 def _estimate_rtree(tree, gf, lo, hi, params, n_disks) -> PathEstimate:
     b_ne, _ = _grid_stats(gf)
-    leaves = tree.leaves()
-    n_leaves = len(leaves)
+    n_leaves = tree.n_leaves
     # Kamel–Faloutsos: expected leaves whose MBR overlaps the query box.
     overlap_frac = 1.0
-    if n_leaves and leaves[0].mbr is not None:
-        leaf_lo = np.stack([lf.mbr.lo for lf in leaves])
-        leaf_hi = np.stack([lf.mbr.hi for lf in leaves])
-        avg_side = (leaf_hi - leaf_lo).mean(axis=0)
+    if tree.n_records:
+        avg_side = (tree.hi[0] - tree.lo[0]).mean(axis=0)
         for k in range(gf.dims):
             length = float(gf.scales.domain_hi[k] - gf.scales.domain_lo[k])
             s_k = max(0.0, float(hi[k] - lo[k]))
             if length > 0:
                 overlap_frac *= min(1.0, (s_k + float(avg_side[k])) / length)
-    est_leaves = max(1.0, n_leaves * overlap_frac) if n_leaves else 0.0
+    est_leaves = max(1.0, n_leaves * overlap_frac)
     est_qual = max(1.0, gf.n_records * _selectivity(gf, lo, hi)) if gf.n_records else 0.0
     pages = _cardenas(b_ne, est_qual)
-    avg_leaf = (tree.n_records / n_leaves) if n_leaves else 0.0
-    cpu = params.lookup_time * max(1, tree.height()) + params.plan_time_per_bucket * est_leaves
+    avg_leaf = tree.n_records / n_leaves
+    cpu = params.lookup_time * tree.height() + params.plan_time_per_bucket * est_leaves
     return PathEstimate(
         path="rtree",
         est_cells=est_leaves,
@@ -299,10 +296,10 @@ def _estimate_knn(gf, tree, nearest: Nearest, params, n_disks, path: str) -> Pat
         filt = params.cpu_filter_per_record * avg_occ * visit
         cells = visit
     else:  # rtree
-        leaves = max(1, len(tree.leaves()))
+        leaves = tree.n_leaves
         avg_leaf = tree.n_records / leaves
         visit_leaves = min(float(leaves), 3.0 * max(1.0, nearest.k / max(1.0, avg_leaf)))
-        cpu = params.lookup_time * max(1, tree.height()) + params.plan_time_per_bucket * visit_leaves
+        cpu = params.lookup_time * tree.height() + params.plan_time_per_bucket * visit_leaves
         filt = params.cpu_filter_per_record * avg_leaf * visit_leaves
         visit = _cardenas(b_ne, float(nearest.k))
         cells = visit_leaves

@@ -6,6 +6,8 @@ the two result for result.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro._util import check_positive_int
@@ -74,3 +76,44 @@ def reference_plan(coordinator, query_id: int, query) -> QueryPlan:
         candidates_per_bucket=cand_bucket,
         qualified_per_bucket=qual_bucket,
     )
+
+
+def str_rtree_reference(points: np.ndarray, max_entries: int) -> tuple[list, list]:
+    """The STR R-tree built with plain loops, as the old object tree built it.
+
+    Leaves come from a Sort-Tile-Recursive tiling done with Python's stable
+    ``sorted``; each leaf's MBR is the ``min``/``max`` of its points, and
+    each parent's the union of its chunk of at most ``max_entries``
+    children.  Returns ``(leaves, levels)``: ``leaves`` lists each leaf's
+    record ids, ``levels[l]`` lists level ``l``'s ``(lo, hi)`` boxes,
+    leaves first.  An empty point set gives one empty leaf and no levels.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n, d = points.shape
+
+    def tile(ids: list, dim: int) -> list:
+        if len(ids) <= max_entries:
+            return [ids]
+        ordered = sorted(ids, key=lambda r: points[r, dim])
+        n_pages = math.ceil(len(ids) / max_entries)
+        n_slabs = math.ceil(n_pages ** (1.0 / (d - dim))) if dim < d - 1 else n_pages
+        per_slab = math.ceil(len(ids) / n_slabs)
+        out = []
+        for s in range(0, len(ids), per_slab):
+            chunk = ordered[s : s + per_slab]
+            out.extend(tile(chunk, dim + 1) if dim < d - 1 else [chunk])
+        return out
+
+    leaves = tile(list(range(n)), 0)
+    if n == 0:
+        return leaves, []
+    levels = [[(points[g].min(axis=0), points[g].max(axis=0)) for g in leaves]]
+    while len(levels[-1]) > 1:
+        parents = []
+        for s in range(0, len(levels[-1]), max_entries):
+            lo, hi = levels[-1][s]
+            for c_lo, c_hi in levels[-1][s + 1 : s + max_entries]:
+                lo, hi = np.minimum(lo, c_lo), np.maximum(hi, c_hi)
+            parents.append((lo, hi))
+        levels.append(parents)
+    return leaves, levels

@@ -169,6 +169,35 @@ class TestStructure(object):
             assert region.lo.tolist() == lo[bid].tolist()
             assert region.hi.tolist() == hi[bid].tolist()
 
+    def test_cached_boxes_track_structural_changes(self, rng):
+        """The cached boxes and regions equal a fresh stack after every
+        insert split, scale refinement, merge and bucket removal."""
+
+        class Events(set):
+            def __getattr__(self, name):  # any ``on_<event>`` listener hook
+                return lambda gf, *args: self.add(name[3:])
+
+        gf = GridFile.empty([0, 0], [100, 100], capacity=4)
+        events = Events()
+        gf.add_listener(events)
+
+        def mutate_then_check(op, *args):
+            cached = gf.bucket_cell_boxes(), gf.bucket_regions()  # prime the cache
+            op(*args)
+            lo = np.stack([b.cellbox.lo for b in gf.buckets])
+            hi = np.stack([b.cellbox.hi for b in gf.buckets])
+            fresh = (lo, hi), gf.scales.box_bounds(lo, hi)
+            for got, want in zip((gf.bucket_cell_boxes(), gf.bucket_regions()), fresh):
+                assert all(map(np.array_equal, got, want))
+            assert all(not a.flags.writeable for pair in cached for a in pair)
+
+        for p in rng.uniform(0, 100, size=(150, 2)):
+            mutate_then_check(gf.insert_point, p)
+        for rid in range(150):
+            mutate_then_check(gf.delete_record, rid)
+        assert {"split", "refine", "merge", "remove"} <= events
+        gf.check_invariants()
+
     def test_every_record_in_its_cell_bucket(self, small_gridfile):
         gf = small_gridfile
         cells = gf.scales.locate(gf.coords())

@@ -233,11 +233,10 @@ class TestOnlineEngine:
             OnlineCluster(gf, a, 8, placement="no-such-policy")
         with pytest.raises(ValueError):
             OnlineCluster(gf, a, 8, params=ClusterParams(replication="chained"))
-        with pytest.raises(TypeError):
-            rng = np.random.default_rng(0)
-            pts = rng.uniform(0, 1, size=(100, 2))
-            tree = RTree.bulk_load(pts, leaf_capacity=16)
-            OnlineCluster(tree, np.zeros(len(tree.leaves()), dtype=int), 4)
+        pts = np.random.default_rng(0).uniform(0, 1, size=(100, 2))
+        tree = RTree.bulk_load(pts, max_entries=16)
+        with pytest.raises(TypeError, match="live GridFile"):
+            OnlineCluster(tree, np.zeros(tree.n_leaves, dtype=int), 4)
         cluster = OnlineCluster(gf, a, 8)
         with pytest.raises(ValueError):
             cluster.run([Operation(kind="compact")])

@@ -1,92 +1,120 @@
-"""Tests for the R-tree (insertion, quadratic split, STR, queries)."""
+"""Tests for the array-backed STR R-tree (build, queries, persistence)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rtree import RTree
+from repro._util import euclidean_norms
+from repro.rtree import RTree, load_rtree, rtree_knn_query, save_rtree
 from tests.conftest import brute_force_query
+from tests.oracles import str_rtree_reference
+
+
+def assert_matches_reference(t: RTree, pts: np.ndarray, max_entries: int) -> None:
+    """The array tree equals the loop-built STR tree leaf for leaf, level for level."""
+    leaves, levels = str_rtree_reference(pts, max_entries)
+    assert t.n_leaves == len(leaves)
+    assert [t.leaf_records(j).tolist() for j in range(t.n_leaves)] == leaves
+    assert t.height() == max(1, len(levels))
+    for level, boxes in enumerate(levels):
+        assert np.array_equal(t.lo[level], np.array([lo for lo, _ in boxes]))
+        assert np.array_equal(t.hi[level], np.array([hi for _, hi in boxes]))
+
+
+def brute_knn(pts, q, k):
+    """The k nearest records by linear scan, ties by record id."""
+    d = euclidean_norms(pts - q)
+    order = np.lexsort((np.arange(len(pts)), d))[:k]
+    return order, d[order]
+
+
+@st.composite
+def str_cases(draw):
+    """Points (with duplicated coordinates) and a page capacity, sized
+    around the boundaries where STR adds a leaf or a level."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 32))
+    n = draw(
+        st.one_of(
+            st.sampled_from([0, 1, m - 1, m, m + 1, m * m, m * m + 1]),
+            st.integers(0, 300),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.round(rng.uniform(0, 10, size=(n, d)), decimals=int(rng.integers(0, 3)))
+    if n > 1:
+        # One third of the rows repeat an earlier row.
+        dup = rng.integers(0, n, size=n // 3)
+        pts[rng.integers(0, n, size=dup.size)] = pts[dup]
+    return pts, m, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(str_cases())
+def test_rtree_property(case):
+    """Property: the array tree matches the loop-built reference, and range
+    and kNN results match brute force (ids, distances and tie order)."""
+    pts, m, rng = case
+    n, d = pts.shape
+    t = RTree.bulk_load(pts, max_entries=m)
+    assert_matches_reference(t, pts, m)
+    _, levels = str_rtree_reference(pts, m)
+    for _ in range(5):
+        lo = rng.uniform(-1, 9, d)
+        hi = lo + rng.uniform(0, 5, d)
+        if levels:
+            leaf_lo = np.array([b[0] for b in levels[0]])
+            leaf_hi = np.array([b[1] for b in levels[0]])
+            want = np.flatnonzero(np.all(leaf_lo <= hi, axis=1) & np.all(lo <= leaf_hi, axis=1))
+        else:
+            want = np.empty(0, dtype=np.int64)
+        assert np.array_equal(t.query_leaves(lo, hi), want)
+        assert np.array_equal(t.query_records(lo, hi), brute_force_query(pts, lo, hi))
+        q = rng.uniform(0, 10, d)
+        for k in (1, 5, 40):
+            ids, dist = rtree_knn_query(t, q, k)
+            want_ids, want_d = brute_knn(pts, q, k)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(dist, want_d)
 
 
 class TestConstruction:
     def test_defaults(self):
         t = RTree(2, max_entries=12)
-        assert t.min_entries == 4
         assert t.n_records == 0
-        t.check_invariants()
-
-    def test_min_entries_bound(self):
-        with pytest.raises(ValueError):
-            RTree(2, max_entries=8, min_entries=5)
+        assert t.n_leaves == 1
+        assert t.height() == 1
+        assert t.leaf_records(0).size == 0
 
     def test_rejects_wrong_point_shape(self):
-        t = RTree(2)
         with pytest.raises(ValueError):
-            t.insert_point([1.0])
-
-
-class TestInsert:
-    def test_single(self):
-        t = RTree(2, max_entries=4)
-        rid = t.insert_point([0.5, 0.5])
-        assert rid == 0
-        assert t.height() == 1
-        t.check_invariants()
-
-    def test_split_grows_height(self, rng):
-        t = RTree(2, max_entries=4)
-        for p in rng.uniform(0, 1, size=(30, 2)):
-            t.insert_point(p)
-        assert t.height() >= 2
-        assert len(t.leaves()) >= 30 // 4
-        t.check_invariants()
-
-    def test_duplicate_points_fine(self):
-        t = RTree(2, max_entries=4)
-        for _ in range(20):
-            t.insert_point([0.3, 0.3])
-        t.check_invariants()
-        assert t.query_records([0.3, 0.3], [0.3, 0.3]).size == 20
-
-    def test_queries_match_brute_force(self, rng):
-        pts = rng.uniform(0, 2000, size=(800, 2))
-        t = RTree(2, max_entries=20)
-        for p in pts:
-            t.insert_point(p)
-        t.check_invariants()
-        for _ in range(30):
-            lo = rng.uniform(0, 1500, 2)
-            hi = lo + rng.uniform(0, 500, 2)
-            assert np.array_equal(t.query_records(lo, hi), brute_force_query(pts, lo, hi))
-
-    def test_3d(self, rng):
-        pts = rng.uniform(-1, 1, size=(300, 3))
-        t = RTree(3, max_entries=10)
-        for p in pts:
-            t.insert_point(p)
-        t.check_invariants()
-        got = t.query_records([-0.5] * 3, [0.5] * 3)
-        assert np.array_equal(got, brute_force_query(pts, [-0.5] * 3, [0.5] * 3))
+            RTree.bulk_load(np.zeros(3))
+        with pytest.raises(ValueError):
+            RTree(2, max_entries=1)
 
 
 class TestBulkLoad:
     def test_structure(self, rng):
         pts = rng.uniform(0, 1, size=(5000, 2))
         t = RTree.bulk_load(pts, max_entries=50)
-        t.check_invariants()
+        assert_matches_reference(t, pts, 50)
         assert t.n_records == 5000
-        assert len(t.leaves()) >= 100
+        assert t.n_leaves >= 100
+        assert sorted(t.order.tolist()) == list(range(5000))
 
     def test_empty(self):
         t = RTree.bulk_load(np.empty((0, 2)))
         assert t.n_records == 0
-        t.check_invariants()
+        assert t.n_leaves == 1
+        assert t.query_leaves([0, 0], [1, 1]).size == 0
+        assert t.query_records([0, 0], [1, 1]).size == 0
 
     def test_tiny(self):
-        t = RTree.bulk_load(np.array([[0.5, 0.5]]), max_entries=4)
+        pts = np.array([[0.5, 0.5]])
+        t = RTree.bulk_load(pts, max_entries=4)
         assert t.height() == 1
-        t.check_invariants()
+        assert_matches_reference(t, pts, 4)
 
     def test_queries_match_brute_force(self, rng):
         pts = rng.uniform(0, 1, size=(3000, 2)) ** 2  # skewed
@@ -100,16 +128,16 @@ class TestBulkLoad:
         """STR leaves overlap far less than worst-case random grouping."""
         pts = rng.uniform(0, 1, size=(2000, 2))
         t = RTree.bulk_load(pts, max_entries=40)
-        areas = [leaf.mbr.area() for leaf in t.leaves()]
+        areas = np.prod(t.hi[0] - t.lo[0], axis=1)
         # Total leaf area stays near the domain area (low overlap).
-        assert sum(areas) < 2.0
+        assert areas.sum() < 2.0
 
     def test_leaf_fill(self, rng):
         pts = rng.uniform(0, 1, size=(1000, 2))
         t = RTree.bulk_load(pts, max_entries=50)
-        fills = [leaf.n_entries for leaf in t.leaves()]
-        assert max(fills) <= 50
-        assert np.mean(fills) > 25  # STR packs pages well
+        fills = np.diff(t.leaf_start)
+        assert fills.max() <= 50
+        assert fills.mean() > 25  # STR packs pages well
 
 
 class TestEquivalenceWithGridFile:
@@ -126,80 +154,57 @@ class TestEquivalenceWithGridFile:
             assert np.array_equal(t.query_records(lo, hi), gf.query_records(lo, hi))
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=4, max_value=24))
-def test_rtree_property(seed, max_entries):
-    """Property: random dynamic builds keep invariants and query exactness."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 150))
-    pts = np.round(rng.uniform(0, 10, size=(n, 2)), decimals=int(rng.integers(0, 3)))
-    t = RTree(2, max_entries=max_entries)
-    for p in pts:
-        t.insert_point(p)
-    t.check_invariants()
-    lo = rng.uniform(0, 6, 2)
-    hi = lo + rng.uniform(0, 4, 2)
-    assert np.array_equal(t.query_records(lo, hi), brute_force_query(pts, lo, hi))
-
-
 class TestPersistence:
     def test_roundtrip_structure(self, rng, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
         pts = rng.uniform(0, 1, size=(800, 2))
         t = RTree.bulk_load(pts, max_entries=25)
         p = tmp_path / "tree.npz"
         save_rtree(t, p)
         back = load_rtree(p)
-        back.check_invariants()
+        assert back.max_entries == 25
         assert back.n_records == t.n_records
         assert back.height() == t.height()
-        assert len(back.leaves()) == len(t.leaves())
+        assert_matches_reference(back, pts, 25)
 
     def test_roundtrip_preserves_leaf_order(self, rng, tmp_path):
         """Leaf order is the declustering domain: it must survive."""
-        from repro.rtree import load_rtree, save_rtree
-
         pts = rng.uniform(0, 1, size=(500, 2))
         t = RTree.bulk_load(pts, max_entries=20)
         p = tmp_path / "tree.npz"
         save_rtree(t, p)
         back = load_rtree(p)
-        for a, b in zip(t.leaves(), back.leaves()):
-            assert a.entries == b.entries
-            assert a.mbr == b.mbr
+        assert np.array_equal(back.order, t.order)
+        assert np.array_equal(back.leaf_start, t.leaf_start)
+        for a, b in zip(t.lo + t.hi, back.lo + back.hi):
+            assert np.array_equal(a, b)
 
     def test_roundtrip_queries(self, rng, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
         pts = rng.uniform(0, 10, size=(400, 3))
-        t = RTree(3, max_entries=12)
-        for pt in pts:
-            t.insert_point(pt)
+        t = RTree.bulk_load(pts, max_entries=12)
         p = tmp_path / "tree.npz"
         save_rtree(t, p)
         back = load_rtree(p)
         lo, hi = np.full(3, 2.0), np.full(3, 7.0)
         assert np.array_equal(back.query_records(lo, hi), t.query_records(lo, hi))
 
-    def test_insert_after_load(self, rng, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
-        pts = rng.uniform(0, 1, size=(100, 2))
-        t = RTree.bulk_load(pts, max_entries=10)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        rid = back.insert_point([0.5, 0.5])
-        assert rid == 100
-        back.check_invariants()
-
     def test_empty_tree_roundtrip(self, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
         t = RTree(2, max_entries=8)
         p = tmp_path / "tree.npz"
         save_rtree(t, p)
         back = load_rtree(p)
         assert back.n_records == 0
-        back.check_invariants()
+        assert back.dims == 2
+        assert back.n_leaves == 1
+
+    def test_node_list_archive_refused(self, tmp_path):
+        """Archives of the older per-node format are rejected, not misread."""
+        p = tmp_path / "old.npz"
+        np.savez_compressed(
+            p,
+            points=np.zeros((1, 2)),
+            is_leaf=np.array([True]),
+            entries=np.array([0]),
+            offsets=np.array([0, 1]),
+        )
+        with pytest.raises(ValueError):
+            load_rtree(p)

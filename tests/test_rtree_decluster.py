@@ -26,7 +26,7 @@ def tree():
 class TestLeafRegions:
     def test_shapes(self, tree):
         lo, hi, lengths = leaf_regions(tree)
-        n = len(tree.leaves())
+        n = tree.n_leaves
         assert lo.shape == hi.shape == (n, 2)
         assert (hi >= lo).all()
         assert lengths.shape == (2,)
@@ -44,7 +44,7 @@ class TestAssignments:
         m = 8
         kwargs = {} if fn is hilbert_leaf_assignment else {"rng": 0}
         a = fn(tree, m, **kwargs)
-        n = len(tree.leaves())
+        n = tree.n_leaves
         assert a.shape == (n,)
         counts = np.bincount(a, minlength=m)
         assert counts.max() <= -(-n // m) + (0 if fn is not minimax_leaf_assignment else 0)
@@ -67,13 +67,11 @@ class TestEvaluation:
         a = hilbert_leaf_assignment(tree, m)
         queries = square_queries(40, 0.05, [0, 0], [1, 1], rng=1)
         ev = evaluate_rtree_queries(tree, a, queries, m)
-        leaves = tree.leaves()
-        index_of = {id(l): i for i, l in enumerate(leaves)}
         for qi, q in enumerate(queries):
             hit = tree.query_leaves(q.lo, q.hi)
             counts = np.zeros(m, dtype=int)
             for leaf in hit:
-                counts[a[index_of[id(leaf)]]] += 1
+                counts[a[leaf]] += 1
             assert ev.response[qi] == counts.max()
             assert ev.buckets_touched[qi] == len(hit)
 
