@@ -24,6 +24,7 @@ from repro.core.exact import exact_optimal_assignment
 from repro.core.base import DeclusteringMethod, IndexBasedMethod, validate_assignment
 from repro.core.conflict import (
     CONFLICT_HEURISTICS,
+    Alternatives,
     resolve_area_balance,
     resolve_data_balance,
     resolve_most_frequent,
@@ -114,6 +115,7 @@ __all__ = [
     "Recommendation",
     "exact_optimal_assignment",
     "CONFLICT_HEURISTICS",
+    "Alternatives",
     "resolve_random",
     "resolve_most_frequent",
     "resolve_data_balance",

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro._util import as_rng, check_positive_int
-from repro.core.conflict import CONFLICT_HEURISTICS
+from repro.core.conflict import CONFLICT_HEURISTICS, Alternatives
 from repro.gridfile.gridfile import GridFile
 
 __all__ = ["DeclusteringMethod", "IndexBasedMethod", "validate_assignment"]
@@ -32,6 +32,12 @@ def validate_assignment(assignment: np.ndarray, n_buckets: int, n_disks: int) ->
     if assignment.size and (assignment.min() < 0 or assignment.max() >= n_disks):
         raise ValueError(f"disk ids must lie in [0, {n_disks})")
     return assignment
+
+
+def grid_cells(shape: tuple[int, ...]) -> np.ndarray:
+    """Every cell of a directory of ``shape`` as ``(n, d)`` int64 indices, in
+    row-major (C) order."""
+    return np.indices(shape).reshape(len(shape), -1).T
 
 
 class DeclusteringMethod(ABC):
@@ -122,10 +128,7 @@ class IndexBasedMethod(DeclusteringMethod):
     def disk_grid(self, shape: tuple[int, ...], n_disks: int) -> np.ndarray:
         """Per-cell disk ids for a whole directory, as an array of ``shape``."""
         check_positive_int(n_disks, "n_disks")
-        axes = [np.arange(n) for n in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cells = np.stack([m.ravel() for m in mesh], axis=1)
-        return self.cell_disks(cells, n_disks, shape).reshape(shape)
+        return self.cell_disks(grid_cells(shape), n_disks, shape).reshape(shape)
 
     def assign(
         self, gf: GridFile, n_disks: int, rng: "int | np.random.Generator | None" = None
@@ -133,7 +136,7 @@ class IndexBasedMethod(DeclusteringMethod):
         """Lift the per-cell scheme to ``gf``'s buckets via conflict resolution."""
         rng = as_rng(rng)
         grid = self.disk_grid(gf.directory.shape, n_disks)
-        alternatives = [grid[b.cellbox.slices()].ravel() for b in gf.buckets]
+        alternatives = Alternatives.from_cells(gf.directory.grid, grid, gf.n_buckets, n_disks)
         reg_lo, reg_hi = gf.bucket_regions()
         volumes = np.prod(reg_hi - reg_lo, axis=1)
         resolver = CONFLICT_HEURISTICS[self.conflict]

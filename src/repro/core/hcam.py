@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import IndexBasedMethod
+from repro.core.base import IndexBasedMethod, grid_cells
 from repro.sfc import CURVES, bits_for
 from repro.sfc.hilbert import HilbertCurve
 
@@ -69,20 +69,14 @@ class HCAM(IndexBasedMethod):
         if self.mode == "raw":
             return keys % n_disks
         # Rank of each queried cell's key among the keys of *all* grid cells.
-        axes = [np.arange(n) for n in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        all_cells = np.stack([m.ravel() for m in mesh], axis=1)
-        all_keys = np.sort(curve.index(all_cells))
+        all_keys = np.sort(curve.index(grid_cells(shape)))
         ranks = np.searchsorted(all_keys, keys)
         return ranks % n_disks
 
     def disk_grid(self, shape: tuple[int, ...], n_disks: int) -> np.ndarray:
         """Whole-directory disk map; avoids recomputing all-cell keys twice."""
-        axes = [np.arange(n) for n in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cells = np.stack([m.ravel() for m in mesh], axis=1)
         curve = self._curve(shape)
-        keys = curve.index(cells)
+        keys = curve.index(grid_cells(shape))
         if self.mode == "raw":
             return (keys % n_disks).reshape(shape)
         ranks = np.empty(keys.size, dtype=np.int64)

@@ -118,8 +118,7 @@ def bulk_load(
     check_positive_int(capacity, "capacity", minimum=2)
     domain_lo = np.asarray(domain_lo, dtype=np.float64)
     domain_hi = np.asarray(domain_hi, dtype=np.float64)
-    if np.any(points < domain_lo) or np.any(points > domain_hi):
-        raise ValueError("points fall outside the declared domain")
+    Scales(domain_lo, domain_hi).check_points(points)
 
     if resolution is None:
         per_dim = max(2, int(np.ceil((2.0 * n / capacity) ** (1.0 / d))))

@@ -174,6 +174,8 @@ class GridFile:
         """Build a grid file by inserting ``points`` one record at a time."""
         points = np.asarray(points, dtype=np.float64)
         gf = cls.empty(domain_lo, domain_hi, capacity, split_policy, reserve=len(points))
+        if points.ndim == 2 and points.shape[1] == gf.dims:
+            gf.scales.check_points(points)
         for p in points:
             gf.insert_point(p)
         return gf
@@ -261,8 +263,7 @@ class GridFile:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (self.dims,):
             raise ValueError(f"point must have shape ({self.dims},)")
-        if np.any(coords < self.scales.domain_lo) or np.any(coords > self.scales.domain_hi):
-            raise ValueError(f"point {coords} outside domain")
+        self.scales.check_points(coords)
         if self._n == self.points.shape[0]:
             grown = np.empty((max(4, 2 * self.points.shape[0]), self.dims), dtype=np.float64)
             grown[: self._n] = self.points[: self._n]
@@ -558,10 +559,19 @@ class GridFile:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Resolve a whole workload of box queries to buckets in one pass.
 
-        Equivalent to calling :meth:`query_buckets` per query, but the
-        scale lookups are batched (one ``searchsorted`` per dimension for
-        the entire workload) and the bucket-size filter reuses the cached
-        size array, so cost per query drops to the directory slice itself.
+        Equivalent to calling :meth:`query_buckets` per query.  The scale
+        lookups are batched (one ``searchsorted`` per dimension for the
+        whole workload), and the directory is never sliced: a bucket meets
+        query ``i`` iff along every dimension ``k`` its cell box
+        ``[cell_lo, cell_hi)`` overlaps the query's cell range
+        ``[start, stop)``, i.e. ``cell_lo < stop`` and ``cell_hi > start``.
+        Each of those ``2·d`` tests is a row of bits over the candidate
+        buckets (the non-empty ones unless ``include_empty``), packed eight
+        to a byte and built once per distinct ``start``/``stop`` value in a
+        chunk of queries.  A chunk ANDs its ``2·d`` gathered rows, finds the
+        non-zero bytes and unpacks only those.  The cost is
+        ``O(d · queries · buckets / 8)`` byte operations plus the size of
+        the result, and the chunk bounds the scratch memory to a few MiB.
 
         Parameters
         ----------
@@ -579,25 +589,41 @@ class GridFile:
         lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
         hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
         starts, stops = self.scales.cell_ranges_for_boxes(lo, hi)
-        sizes = None if include_empty else self._bucket_sizes()
-        grid = self.directory.grid
         n = starts.shape[0]
-        chunks: list[np.ndarray] = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n):
-            sl = tuple(
-                slice(int(starts[i, k]), int(stops[i, k])) for k in range(self.dims)
-            )
-            ids = np.unique(grid[sl])
-            if sizes is not None:
-                ids = ids[sizes[ids] > 0]
-            chunks.append(ids)
-            offsets[i + 1] = offsets[i] + ids.size
-        if chunks:
-            ids_all = np.concatenate(chunks).astype(np.int64, copy=False)
+        if include_empty:
+            candidates = np.arange(self.n_buckets, dtype=np.int64)
         else:
-            ids_all = np.empty(0, dtype=np.int64)
-        return ids_all, offsets
+            candidates = self.nonempty_bucket_ids()
+        if candidates.size == 0:
+            return np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+        cell_lo, cell_hi = (c[candidates] for c in self.bucket_cell_boxes())
+        row_bytes = (candidates.size + 7) // 8
+        chunk = max(1, _BITSET_BYTES // row_bytes)
+        parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        counts = np.zeros(n, dtype=np.int64)
+        for q0 in range(0, n, chunk):
+            q1 = min(n, q0 + chunk)
+            hit = np.full((q1 - q0, row_bytes), 0xFF, dtype=np.uint8)
+            for k in range(self.dims):
+                hit &= _packed_rows(cell_lo[:, k], stops[q0:q1, k], np.less)
+                hit &= _packed_rows(cell_hi[:, k], starts[q0:q1, k], np.greater)
+            # An inverted box has an empty cell range but may still pass
+            # both tests against a bucket that spans it.
+            hit[np.any(stops[q0:q1] <= starts[q0:q1], axis=1)] = 0
+            nz = np.flatnonzero(hit)
+            bits = np.flatnonzero(np.unpackbits(hit.ravel()[nz]))
+            pos = nz[bits >> 3]  # byte offset of each hit in the chunk
+            del nz
+            query = pos // row_bytes
+            counts[q0:q1] = np.bincount(query, minlength=q1 - q0)
+            pos -= query * row_bytes
+            del query
+            pos <<= 3
+            pos |= bits & 7
+            parts.append(candidates[pos])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return np.concatenate(parts), offsets
 
     def query_records(self, lo, hi) -> np.ndarray:
         """Record ids of points inside the closed query box (exact filter)."""
@@ -727,10 +753,10 @@ class GridFile:
         """Verify structural invariants; raises ``AssertionError`` on breakage.
 
         Checked: directory shape matches scales; every bucket's directory
-        region equals exactly its cell box; boxes tile the grid; every record
-        lies in the bucket owning its cell; occupancy respects capacity
-        unless flagged overflowed; cached bucket boxes and regions are
-        current.
+        region equals exactly its cell box; boxes tile the grid; every live
+        record is finite, inside the domain and in the bucket owning its
+        cell; occupancy respects capacity unless flagged overflowed; cached
+        bucket boxes and regions are current.
         """
         assert self.directory.shape == self.scales.nintervals
         covered = np.zeros(self.directory.shape, dtype=bool)
@@ -743,6 +769,11 @@ class GridFile:
                 f"bucket {b.id} over capacity without overflow flag"
             )
         assert covered.all(), "cell boxes do not tile the directory"
+        live = self.points[self.live_record_ids()]
+        assert np.isfinite(live).all(), "non-finite record coordinates"
+        assert ((live >= self.scales.domain_lo) & (live <= self.scales.domain_hi)).all(), (
+            "record outside the domain"
+        )
         seen = np.zeros(self._n, dtype=bool)
         for b in self.buckets:
             rec = b.record_array()
@@ -767,6 +798,18 @@ class GridFile:
 
     def __repr__(self) -> str:
         return f"GridFile({self.stats()})"
+
+
+#: Bytes of packed bucket-by-query bits that :meth:`GridFile.batch_query_buckets`
+#: holds per chunk of queries.
+_BITSET_BYTES = 1 << 19
+
+
+def _packed_rows(edges: np.ndarray, values: np.ndarray, compare) -> np.ndarray:
+    """Row ``i`` holds bit ``b`` set iff ``compare(edges[b], values[i])``,
+    packed eight buckets to a byte (``np.packbits`` order)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.packbits(compare(edges[None, :], distinct[:, None]), axis=1)[inverse]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:

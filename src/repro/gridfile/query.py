@@ -18,7 +18,10 @@ __all__ = ["RangeQuery", "PartialMatchQuery"]
 
 @dataclass(frozen=True)
 class RangeQuery:
-    """A closed axis-aligned box query ``[lo_k, hi_k]`` per dimension."""
+    """A closed axis-aligned box query ``[lo_k, hi_k]`` per dimension.
+
+    Bounds may be infinite but not NaN.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -28,6 +31,10 @@ class RangeQuery:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be 1-d arrays of equal shape")
+        for name, bound in (("lo", lo), ("hi", hi)):
+            nan = np.flatnonzero(np.isnan(bound))
+            if nan.size:
+                raise ValueError(f"query bound {name}[{nan[0]}] is NaN")
         if np.any(lo > hi):
             raise ValueError("query must satisfy lo <= hi elementwise")
         object.__setattr__(self, "lo", lo)

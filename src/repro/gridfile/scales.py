@@ -100,6 +100,32 @@ class Scales:
             cells[:, k] = np.searchsorted(self.boundaries[k], points[:, k], side="right")
         return cells[0] if squeeze else cells
 
+    def check_points(self, points: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every coordinate of the ``(n, d)``
+        points (or one ``(d,)`` point) is finite and inside the closed domain.
+
+        The message names the first offending row and dimension.  A NaN
+        would otherwise pass a pair of ``<``/``>`` domain tests and land in
+        a bucket that no query can reach.  The common case costs one min
+        and one max per column (both propagate NaN), with no per-point mask.
+        """
+        pts = np.atleast_2d(points)
+        if pts.shape[0] == 0:
+            return
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        if (np.isfinite(lo) & np.isfinite(hi) & (lo >= self.domain_lo) & (hi <= self.domain_hi)).all():
+            return
+        inside = np.isfinite(pts) & (pts >= self.domain_lo) & (pts <= self.domain_hi)
+        i, k = (int(v) for v in np.argwhere(~inside)[0])
+        where = f"row {i}" if np.ndim(points) == 2 else f"point {points}"
+        v = pts[i, k]
+        if not np.isfinite(v):
+            raise ValueError(f"{where}, dimension {k}: coordinate {v} is not finite")
+        raise ValueError(
+            f"{where}, dimension {k}: coordinate {v} outside domain "
+            f"[{self.domain_lo[k]}, {self.domain_hi[k]}]"
+        )
+
     def interval(self, dim: int, i: int) -> tuple[float, float]:
         """Domain bounds ``[lo, hi)`` of interval ``i`` along ``dim``."""
         b = self.boundaries[dim]
@@ -162,9 +188,13 @@ class Scales:
 
         The query interval is treated as closed on both ends, matching the
         point-in-range semantics of :class:`repro.gridfile.query.RangeQuery`.
+        An interval that misses the domain ``[domain_lo, domain_hi]``, or
+        has a NaN bound, contains no point and gets an empty range.
         """
         b = self.boundaries[dim]
         start = int(np.searchsorted(b, lo, side="right"))
+        if not (hi >= self.domain_lo[dim] and lo <= self.domain_hi[dim]):
+            return start, start
         stop = int(np.searchsorted(b, hi, side="right")) + 1
         return start, stop
 
@@ -198,6 +228,8 @@ class Scales:
             b = self.boundaries[k]
             starts[:, k] = np.searchsorted(b, lo[:, k], side="right")
             stops[:, k] = np.searchsorted(b, hi[:, k], side="right") + 1
+            outside = ~((hi[:, k] >= self.domain_lo[k]) & (lo[:, k] <= self.domain_hi[k]))
+            stops[outside, k] = starts[outside, k]
         return starts, stops
 
     def copy(self) -> "Scales":

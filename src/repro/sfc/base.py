@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -92,15 +93,31 @@ def interleave_bits(coords: np.ndarray, bits: int) -> np.ndarray:
     Bit ``b`` (0 = least significant) of dimension ``k`` lands at key bit
     ``b * d + (d - 1 - k)``, i.e. dimension 0 contributes the *most*
     significant bit of each d-bit group — the conventional Z-order layout.
+    Each byte of a coordinate is spread in one lookup of a 256-entry table,
+    so the cost is ``d * ceil(bits / 8)`` array passes.
     """
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = np.asarray(coords)
+    if coords.dtype.kind not in "iu":
+        coords = coords.astype(np.int64)
     n, d = coords.shape
+    spread = _spread_table(d)
     out = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        for k in range(d):
-            bit = (coords[:, k] >> b) & 1
-            out |= bit << (b * d + (d - 1 - k))
+    for k in range(d):
+        col = coords[:, k]
+        for b in range(0, bits, 8):
+            out |= spread[(col >> b) & 0xFF] << (b * d + (d - 1 - k))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _spread_table(d: int) -> np.ndarray:
+    """``table[v]`` moves bit ``b`` of the byte ``v`` to bit ``b * d``."""
+    v = np.arange(256, dtype=np.int64)
+    table = np.zeros(256, dtype=np.int64)
+    for b in range(8):
+        table |= ((v >> b) & 1) << (b * d)
+    table.flags.writeable = False
+    return table
 
 
 def deinterleave_bits(keys: np.ndarray, dims: int, bits: int) -> np.ndarray:

@@ -45,8 +45,8 @@ class HilbertCurve(SpaceFillingCurve):
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         coords = self._check_coords(coords)
-        transpose = self._axes_to_transpose(coords.copy())
-        return interleave_bits(transpose, self.bits)
+        transpose = self._axes_to_transpose(self._columns(coords))
+        return interleave_bits(np.stack(transpose, axis=1), self.bits)
 
     def coords(self, index: np.ndarray) -> np.ndarray:
         index = np.asarray(index, dtype=np.int64)
@@ -55,60 +55,68 @@ class HilbertCurve(SpaceFillingCurve):
         if index.size and (index.min() < 0 or index.max() >= self.size):
             raise ValueError(f"index must lie in [0, {self.size})")
         transpose = deinterleave_bits(index, self.dims, self.bits)
-        out = self._transpose_to_axes(transpose)
+        out = np.stack(self._transpose_to_axes(self._columns(transpose)), axis=1).astype(np.int64)
         return out[0] if scalar else out
 
-    # -- Skilling's algorithm, operating on (n, d) arrays --------------------
+    # -- Skilling's algorithm, on one column per dimension ------------------
 
-    def _axes_to_transpose(self, x: np.ndarray) -> np.ndarray:
-        """In-place: axis coordinates -> Hilbert transpose form."""
+    def _columns(self, x: np.ndarray) -> list[np.ndarray]:
+        """Copy ``(n, d)`` coordinates into ``d`` columns of the smallest
+        unsigned dtype that holds ``bits`` bits."""
+        word = np.min_scalar_type((1 << self.bits) - 1)
+        return [x[:, i].astype(word) for i in range(self.dims)]
+
+    @staticmethod
+    def _set_mask(col: np.ndarray, q: int) -> np.ndarray:
+        """All ones where bit ``q`` (a power of two) of ``col`` is set, else 0."""
+        return -((col >> (q.bit_length() - 1)) & 1)
+
+    @classmethod
+    def _exchange(cls, x: list[np.ndarray], i: int, q: int) -> None:
+        """One step of Skilling's loop, branch-free: where bit ``q`` of
+        ``x[i]`` is set, invert the bits of ``x[0]`` below ``q``; elsewhere
+        exchange those bits of ``x[0]`` and ``x[i]`` (a no-op for ``i == 0``)."""
+        p = q - 1
+        invert = cls._set_mask(x[i], q) & p
+        t = (x[0] ^ x[i]) & (invert ^ p)
+        x[0] ^= invert | t
+        x[i] ^= t
+
+    def _axes_to_transpose(self, x: list[np.ndarray]) -> list[np.ndarray]:
+        """Axis coordinates -> Hilbert transpose form (columns, updated in place)."""
         d = self.dims
-        m = np.int64(1) << (self.bits - 1)
+        m = 1 << (self.bits - 1)
         # Inverse undo excess work.
         q = m
         while q > 1:
-            p = q - 1
             for i in range(d):
-                hi = (x[:, i] & q) != 0
-                # Where the bit is set: invert low bits of x[:, 0].
-                x[hi, 0] ^= p
-                # Elsewhere: exchange low bits of x[:, i] and x[:, 0].
-                lo = ~hi
-                t = (x[lo, 0] ^ x[lo, i]) & p
-                x[lo, 0] ^= t
-                x[lo, i] ^= t
+                self._exchange(x, i, q)
             q >>= 1
         # Gray encode.
         for i in range(1, d):
-            x[:, i] ^= x[:, i - 1]
-        t = np.zeros(x.shape[0], dtype=np.int64)
+            x[i] ^= x[i - 1]
+        t = np.zeros_like(x[0])
         q = m
         while q > 1:
-            sel = (x[:, d - 1] & q) != 0
-            t[sel] ^= q - 1
+            t ^= self._set_mask(x[d - 1], q) & (q - 1)
             q >>= 1
-        x ^= t[:, None]
+        for xi in x:
+            xi ^= t
         return x
 
-    def _transpose_to_axes(self, x: np.ndarray) -> np.ndarray:
-        """In-place: Hilbert transpose form -> axis coordinates."""
+    def _transpose_to_axes(self, x: list[np.ndarray]) -> list[np.ndarray]:
+        """Hilbert transpose form -> axis coordinates (columns, updated in place)."""
         d = self.dims
-        n_top = np.int64(2) << (self.bits - 1)
+        n_top = 2 << (self.bits - 1)
         # Gray decode by H ^ (H/2).
-        t = x[:, d - 1] >> 1
+        t = x[d - 1] >> 1
         for i in range(d - 1, 0, -1):
-            x[:, i] ^= x[:, i - 1]
-        x[:, 0] ^= t
+            x[i] ^= x[i - 1]
+        x[0] ^= t
         # Undo excess work.
-        q = np.int64(2)
+        q = 2
         while q != n_top:
-            p = q - 1
             for i in range(d - 1, -1, -1):
-                hi = (x[:, i] & q) != 0
-                x[hi, 0] ^= p
-                lo = ~hi
-                t = (x[lo, 0] ^ x[lo, i]) & p
-                x[lo, 0] ^= t
-                x[lo, i] ^= t
+                self._exchange(x, i, q)
             q <<= 1
         return x

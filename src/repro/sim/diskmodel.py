@@ -181,16 +181,18 @@ def response_times(
         out = np.zeros(nq, dtype=np.int64)
         if nq == 0 or bls.ids.size == 0:
             return out
-        disks = assignment[bls.ids]
-        seg = np.repeat(np.arange(nq, dtype=np.int64), bls.counts)
         block = max(1, _KERNEL_CELL_BUDGET // n_disks)
         offsets = bls.offsets
+        counts = bls.counts
         for q0 in range(0, nq, block):
             q1 = min(nq, q0 + block)
             s, e = int(offsets[q0]), int(offsets[q1])
             if s == e:
                 continue
-            key = (seg[s:e] - q0) * n_disks + disks[s:e]
+            # key = local query index * n_disks + disk, summed in place so
+            # that at most two id-sized arrays are alive at once.
+            key = np.repeat(np.arange(q1 - q0, dtype=np.int64) * n_disks, counts[q0:q1])
+            key += assignment[bls.ids[s:e]]
             mat = np.bincount(key, minlength=(q1 - q0) * n_disks)
             out[q0:q1] = mat.reshape(q1 - q0, n_disks).max(axis=1)
         return out

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from repro._util import check_positive_int
+from repro._util import as_rng, check_positive_int
 from repro.parallel.coordinator import QueryPlan
 from repro.parallel.message import BlockRequest
+from repro.sfc.base import deinterleave_bits
 from repro.sim.diskmodel import as_bucket_list_set
 
 
@@ -117,3 +118,172 @@ def str_rtree_reference(points: np.ndarray, max_entries: int) -> tuple[list, lis
             parents.append((lo, hi))
         levels.append(parents)
     return leaves, levels
+
+
+def hilbert_index_reference(coords: np.ndarray, dims: int, bits: int) -> np.ndarray:
+    """Hilbert keys by Skilling's transform on one ``(n, d)`` int64 array,
+    with boolean-mask updates (``x[hi, 0] ^= p``) for each branch."""
+    x = np.array(coords, dtype=np.int64).reshape(-1, dims)
+    m = np.int64(1) << (bits - 1)
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(dims):
+            hi = (x[:, i] & q) != 0
+            x[hi, 0] ^= p
+            lo = ~hi
+            t = (x[lo, 0] ^ x[lo, i]) & p
+            x[lo, 0] ^= t
+            x[lo, i] ^= t
+        q >>= 1
+    for i in range(1, dims):
+        x[:, i] ^= x[:, i - 1]
+    t = np.zeros(x.shape[0], dtype=np.int64)
+    q = m
+    while q > 1:
+        sel = (x[:, dims - 1] & q) != 0
+        t[sel] ^= q - 1
+        q >>= 1
+    x ^= t[:, None]
+    return interleave_bits_reference(x, bits)
+
+
+def interleave_bits_reference(coords: np.ndarray, bits: int) -> np.ndarray:
+    """Z-order keys one bit of one dimension at a time."""
+    coords = np.asarray(coords, dtype=np.int64)
+    n, d = coords.shape
+    out = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        for k in range(d):
+            out |= ((coords[:, k] >> b) & 1) << (b * d + (d - 1 - k))
+    return out
+
+
+def hilbert_coords_reference(index: np.ndarray, dims: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`hilbert_index_reference`, in the same style."""
+    x = deinterleave_bits(np.asarray(index, dtype=np.int64), dims, bits)
+    n_top = np.int64(2) << (bits - 1)
+    t = x[:, dims - 1] >> 1
+    for i in range(dims - 1, 0, -1):
+        x[:, i] ^= x[:, i - 1]
+    x[:, 0] ^= t
+    q = np.int64(2)
+    while q != n_top:
+        p = q - 1
+        for i in range(dims - 1, -1, -1):
+            hi = (x[:, i] & q) != 0
+            x[hi, 0] ^= p
+            lo = ~hi
+            t = (x[lo, 0] ^ x[lo, i]) & p
+            x[lo, 0] ^= t
+            x[lo, i] ^= t
+        q <<= 1
+    return x
+
+
+def batch_query_buckets_reference(gf, lo, hi, include_empty: bool = False):
+    """``GridFile.batch_query_buckets`` with one ``np.unique`` over the
+    directory slab of each query."""
+    lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
+    hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
+    starts, stops = gf.scales.cell_ranges_for_boxes(lo, hi)
+    sizes = None if include_empty else gf.bucket_sizes()
+    grid = gf.directory.grid
+    chunks = [np.empty(0, dtype=np.int64)]
+    offsets = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+    for i in range(starts.shape[0]):
+        sl = tuple(slice(int(starts[i, k]), int(stops[i, k])) for k in range(gf.dims))
+        ids = np.unique(grid[sl])
+        if sizes is not None:
+            ids = ids[sizes[ids] > 0]
+        chunks.append(ids)
+        offsets[i + 1] = offsets[i] + ids.size
+    return np.concatenate(chunks).astype(np.int64), offsets
+
+
+def bucket_alternatives(gf, disk_grid: np.ndarray) -> list:
+    """Each bucket's per-cell disks, one directory slice per bucket."""
+    return [disk_grid[b.cellbox.slices()].ravel() for b in gf.buckets]
+
+
+def _check_alternatives(alternatives, n_disks):
+    for i, alt in enumerate(alternatives):
+        alt = np.asarray(alt)
+        if alt.size == 0:
+            raise ValueError(f"bucket {i} has no assignment alternatives")
+        if alt.min() < 0 or alt.max() >= n_disks:
+            raise ValueError(f"bucket {i} alternatives out of range [0, {n_disks})")
+
+
+def resolve_random_reference(alternatives, n_disks, *, weights=None, sizes=None, rng=None):
+    """Random conflict resolution, one ``np.unique`` and one draw per bucket."""
+    _check_alternatives(alternatives, n_disks)
+    rng = as_rng(rng)
+    out = np.empty(len(alternatives), dtype=np.int64)
+    for i, alt in enumerate(alternatives):
+        distinct = np.unique(alt)
+        out[i] = distinct[rng.integers(distinct.size)]
+    return out
+
+
+def resolve_most_frequent_reference(
+    alternatives, n_disks, *, weights=None, sizes=None, rng=None
+):
+    """Most-frequent conflict resolution, one ``bincount`` and one draw per bucket."""
+    _check_alternatives(alternatives, n_disks)
+    rng = as_rng(rng)
+    out = np.empty(len(alternatives), dtype=np.int64)
+    for i, alt in enumerate(alternatives):
+        counts = np.bincount(np.asarray(alt, dtype=np.int64), minlength=n_disks)
+        top = np.nonzero(counts == counts.max())[0]
+        out[i] = top[rng.integers(top.size)]
+    return out
+
+
+def _balance_reference(alternatives, n_disks, load_of, rng):
+    _check_alternatives(alternatives, n_disks)
+    rng = as_rng(rng)
+    out = np.full(len(alternatives), -1, dtype=np.int64)
+    load = np.zeros(n_disks, dtype=np.float64)
+    conflicted = []
+    for i, alt in enumerate(alternatives):
+        distinct = np.unique(alt)
+        if distinct.size == 1:
+            out[i] = distinct[0]
+            load[distinct[0]] += load_of(i)
+        else:
+            conflicted.append((i, distinct))
+    for i, distinct in conflicted:
+        loads = load[distinct]
+        ties = distinct[loads == loads.min()]
+        choice = ties[rng.integers(ties.size)] if ties.size > 1 else ties[0]
+        out[i] = choice
+        load[choice] += load_of(i)
+    return out
+
+
+def resolve_data_balance_reference(
+    alternatives, n_disks, *, weights=None, sizes=None, rng=None
+):
+    """Algorithm 1 with one ``np.unique`` per bucket."""
+    if sizes is None:
+        sizes = np.ones(len(alternatives))
+    sizes = np.asarray(sizes)
+    return _balance_reference(alternatives, n_disks, lambda i: float(sizes[i] > 0), rng)
+
+
+def resolve_area_balance_reference(
+    alternatives, n_disks, *, weights=None, sizes=None, rng=None
+):
+    """Area balance with one ``np.unique`` per bucket."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return _balance_reference(alternatives, n_disks, lambda i: float(weights[i]), rng)
+
+
+#: The list-based resolvers, keyed like ``repro.core.CONFLICT_HEURISTICS``.
+CONFLICT_REFERENCES = {
+    "random": resolve_random_reference,
+    "most_frequent": resolve_most_frequent_reference,
+    "data_balance": resolve_data_balance_reference,
+    "area_balance": resolve_area_balance_reference,
+}

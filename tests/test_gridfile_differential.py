@@ -122,15 +122,16 @@ class TestBatchQueryParity:
 
     @pytest.mark.parametrize("include_empty", [False, True])
     def test_fully_outside_domain(self, gf, include_empty):
-        """Boxes beyond the domain still resolve identically on both paths.
+        """Boxes beyond the domain resolve to no bucket on both paths.
 
-        The scales clamp out-of-domain intervals to a boundary slab rather
-        than an empty range — what matters is that the batched and per-query
-        paths agree exactly (and that no *records* ever qualify).
+        Their cell range is empty in the dimension they miss, so neither
+        path returns a bucket, and no *records* ever qualify.
         """
         los = np.array([[-50.0, -50.0], [150.0, 20.0], [20.0, 150.0]])
         his = np.array([[-10.0, -10.0], [200.0, 30.0], [30.0, 200.0]])
         self._assert_parity(gf, los, his, include_empty)
+        ids, _ = gf.batch_query_buckets(los, his, include_empty=include_empty)
+        assert ids.size == 0
         for lo, hi in zip(los, his):
             assert gf.query_records(lo, hi).size == 0
 
