@@ -47,6 +47,31 @@ class LRUCache:
             self._blocks.popitem(last=False)
         return False
 
+    def access_many(self, block_ids: list) -> list:
+        """:meth:`access` each block in order; returns the blocks that missed.
+
+        Hit and miss counts, recency order and evictions are exactly those
+        of the sequential ``access`` calls.
+        """
+        if self.capacity == 0:
+            self.misses += len(block_ids)
+            return list(block_ids)
+        blocks = self._blocks
+        refresh = blocks.move_to_end
+        capacity = self.capacity
+        missed = []
+        for b in block_ids:
+            if b in blocks:
+                refresh(b)
+            else:
+                missed.append(b)
+                blocks[b] = None
+                if len(blocks) > capacity:
+                    blocks.popitem(last=False)
+        self.misses += len(missed)
+        self.hits += len(block_ids) - len(missed)
+        return missed
+
     def invalidate(self, block_id: int) -> bool:
         """Drop a block if cached; returns True when an entry was removed.
 

@@ -20,8 +20,12 @@ into any result.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import partial
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "GLOBAL_METRICS"]
+__all__ = [
+    "Counter", "Gauge", "Histogram", "LazyInstrument", "MetricsRegistry", "GLOBAL_METRICS",
+]
 
 #: Default histogram bucket upper bounds (seconds-scale; +inf is implicit).
 DEFAULT_BOUNDS = (
@@ -78,13 +82,13 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value) -> None:
-        """Record one observation."""
+        """Record one observation.
+
+        It lands in the first bucket whose bound is ``>= value``; NaN lands
+        in the overflow bucket, since it compares ``<=`` to no bound.
+        """
         value = float(value)
-        i = 0
-        for b in self.bounds:
-            if value <= b:
-                break
-            i += 1
+        i = bisect_left(self.bounds, value) if value == value else len(self.bounds)
         self.bucket_counts[i] += 1
         self.count += 1
         self.total += value
@@ -97,6 +101,38 @@ class Histogram:
     def mean(self) -> float:
         """Mean of all observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
+
+
+class LazyInstrument:
+    """A registry instrument looked up once and created on its first update.
+
+    Hot paths keep one of these instead of looking the instrument up by
+    name on every update, while a snapshot still lists only the
+    instruments a run actually touched.  Made by
+    :meth:`MetricsRegistry.lazy_counter` and
+    :meth:`MetricsRegistry.lazy_histogram`; a :meth:`MetricsRegistry.reset`
+    does not reach instruments already created through it.
+    """
+
+    __slots__ = ("_create", "_inst")
+
+    def __init__(self, create):
+        self._create = create
+        self._inst = None
+
+    def inc(self, amount=1) -> None:
+        """:meth:`Counter.inc` on the bound counter."""
+        inst = self._inst
+        if inst is None:
+            inst = self._inst = self._create()
+        inst.inc(amount)
+
+    def observe(self, value) -> None:
+        """:meth:`Histogram.observe` on the bound histogram."""
+        inst = self._inst
+        if inst is None:
+            inst = self._inst = self._create()
+        inst.observe(value)
 
 
 class MetricsRegistry:
@@ -127,6 +163,14 @@ class MetricsRegistry:
         if h is None:
             h = self._histograms[name] = Histogram(bounds)
         return h
+
+    def lazy_counter(self, name: str) -> LazyInstrument:
+        """The counter called ``name``, created on its first ``inc``."""
+        return LazyInstrument(partial(self.counter, name))
+
+    def lazy_histogram(self, name: str, bounds=DEFAULT_BOUNDS) -> LazyInstrument:
+        """The histogram called ``name``, created on its first ``observe``."""
+        return LazyInstrument(partial(self.histogram, name, bounds))
 
     def snapshot(self) -> dict:
         """JSON-serializable state of every instrument."""

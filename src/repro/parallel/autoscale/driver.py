@@ -212,7 +212,7 @@ class AutoscaleCluster:
         if policy.routes:
             policy.configure(self.n_disks_start, expand_fn=self._expand_fn())
             for ev in self.plan.sorted_events():
-                pipe.sim.schedule_at(ev.time, policy.apply_event, ev)
+                pipe.sim.call_at(ev.time, policy.apply_event, ev)
         perf = pipe.run_closed()
         return AutoscaleReport(
             perf=perf,

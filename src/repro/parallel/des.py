@@ -24,14 +24,17 @@ event — the causal backbone under the protocol-level records the cluster
 engine adds on top.  With the default ``tracer=None`` the loop is exactly
 the untraced loop.
 
-Pending events live in a binary heap of ``(time, seq, Event, callback,
-args)`` tuples.  ``(time, seq)`` is unique, so tuple comparison never
-reaches the non-comparable payload.
+Events that nobody cancels (:meth:`Simulator.call_at`) carry no handle.
+Pending events live in a binary heap of ``(time, seq, Event | None,
+callback, args)`` tuples.  ``(time, seq)`` is unique, so tuple comparison
+never reaches the non-comparable payload, and handle-free and cancellable
+events interleave in one ``(time, insertion-order)`` order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["Simulator", "Resource", "Event"]
@@ -57,33 +60,6 @@ class Event:
         return not (self.cancelled or self.fired)
 
 
-class _EventHeap:
-    """Binary-heap pending-event queue.
-
-    The method wrapper is deliberate: it measured faster in the event loop
-    than inlining ``heapq.heappush``/``heappop`` into :meth:`Simulator.run`.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self):
-        self._heap: list = []
-
-    def push(self, item) -> None:
-        heapq.heappush(self._heap, item)
-
-    def peek(self):
-        """The minimum item, or ``None`` when empty (not removed)."""
-        return self._heap[0] if self._heap else None
-
-    def pop(self):
-        """Remove and return the minimum item."""
-        return heapq.heappop(self._heap)
-
-    def __iter__(self):
-        return iter(self._heap)
-
-
 class Simulator:
     """Event loop: schedule callbacks at future times, run until drained.
 
@@ -96,19 +72,29 @@ class Simulator:
     """
 
     def __init__(self, tracer=None):
-        self._queue = _EventHeap()
+        self._heap: list = []
         self._seq = 0
         self.now = 0.0
         self._tracer = tracer if tracer is not None and tracer.enabled else None
 
     def schedule_at(self, time: float, callback, *args) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        """Schedule ``callback(*args)`` at absolute simulated ``time``; the
+        returned :class:`Event` can cancel it."""
         if time < self.now - 1e-12:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         ev = Event(float(time))
-        self._queue.push((float(time), self._seq, ev, callback, args))
+        heapq.heappush(self._heap, (ev.time, self._seq, ev, callback, args))
         self._seq += 1
         return ev
+
+    def call_at(self, time: float, callback, *args) -> None:
+        """Schedule ``callback(*args)`` at absolute simulated ``time`` without
+        a handle: the event cannot be cancelled.  Orders exactly like
+        :meth:`schedule_at`."""
+        if time < self.now - 1e-12:
+            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        heapq.heappush(self._heap, (float(time), self._seq, None, callback, args))
+        self._seq += 1
 
     def schedule(self, delay: float, callback, *args) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
@@ -125,26 +111,26 @@ class Simulator:
         the run.
         """
         tracer = self._tracer
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None:
-                break
-            time, _, ev, callback, args = head
-            if ev.cancelled:
+        heap = self._heap
+        pop = heapq.heappop
+        limit = math.inf if until is None else until
+        while heap:
+            time, _, ev, callback, args = heap[0]
+            if ev is not None and ev.cancelled:
                 # Cancelled events are discarded without touching the clock
                 # (and never traced — they did not happen).
-                queue.pop()
+                pop(heap)
                 continue
-            if until is not None and time > until:
+            if time > limit:
                 break
-            queue.pop()
+            pop(heap)
             if time > self.now:
-                # Clamp: an event admitted by schedule_at's 1e-12 tolerance
-                # must not move the clock backwards (trace timestamps and
+                # Clamp: an event admitted by the 1e-12 past-tolerance must
+                # not move the clock backwards (trace timestamps and
                 # downstream schedule(delay) calls rely on monotonicity).
                 self.now = time
-            ev.fired = True
+            if ev is not None:
+                ev.fired = True
             if tracer is not None:
                 tracer.event(
                     "sim.fire",
@@ -161,7 +147,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events not yet processed."""
-        return sum(1 for _, _, ev, _, _ in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev, _, _ in self._heap if ev is None or not ev.cancelled)
 
 
 @dataclass
@@ -181,7 +167,8 @@ class Resource:
         """Reserve ``duration`` seconds; returns the granted ``(start, end)``."""
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
-        start = max(earliest, self.busy_until)
+        busy = self.busy_until
+        start = busy if busy > earliest else earliest  # max(), without the call
         end = start + duration
         self.busy_until = end
         self.busy_time += duration

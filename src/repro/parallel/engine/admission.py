@@ -53,7 +53,7 @@ class UnboundedAdmission(AdmissionController):
 
     def start(self, arrivals):
         for qid, t in enumerate(arrivals):
-            self.pipe.sim.schedule_at(float(t), self.pipe.submit, qid)
+            self.pipe.sim.call_at(float(t), self.pipe.submit, qid)
 
 
 class BoundedAdmission(AdmissionController):
@@ -70,7 +70,7 @@ class BoundedAdmission(AdmissionController):
 
     def start(self, arrivals):
         for qid, t in enumerate(arrivals):
-            self.pipe.sim.schedule_at(float(t), self._arrive, qid)
+            self.pipe.sim.call_at(float(t), self._arrive, qid)
 
     def _arrive(self, qid: int) -> None:
         if self.inflight < self.max_inflight:

@@ -103,6 +103,20 @@ class ClusterParams:
     autoscale: "object | None" = None
 
 
+#: Cost, size and delay constants that must be non-negative (NaN is refused
+#: too); a negative one would otherwise fail mid-run, or only after a fault.
+_NON_NEGATIVE = (
+    "lookup_time",
+    "plan_time_per_bucket",
+    "cpu_filter_per_record",
+    "record_bytes",
+    "header_bytes",
+    "bucket_id_bytes",
+    "retry_backoff",
+    "heartbeat_delay",
+)
+
+
 def validate_params(params: ClusterParams) -> None:
     """Raise ``ValueError`` for out-of-range or inconsistent knobs.
 
@@ -110,6 +124,12 @@ def validate_params(params: ClusterParams) -> None:
     registries at pipeline construction; this checks the numeric knobs and
     the cross-field constraints.
     """
+    if not params.disks_per_node >= 1:
+        raise ValueError(f"disks_per_node must be >= 1, got {params.disks_per_node}")
+    for name in _NON_NEGATIVE:
+        value = getattr(params, name)
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if params.max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {params.max_retries}")
     if not 0.0 <= params.retry_jitter <= 1.0:

@@ -32,6 +32,8 @@ engine (``tests/test_engine_neutrality.py``).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.obs import PROFILER, MetricsRegistry, default_tracer
 from repro.parallel.des import Resource, Simulator
 from repro.parallel.engine.degraded import DegradedMode
@@ -72,6 +74,14 @@ class RequestPipeline:
         self.tracer = tracer if tracer is not None else default_tracer()
         self.trace = self.tracer.enabled
         self.metrics = MetricsRegistry()
+        # Hot-path instruments, bound once; each joins the registry (and so
+        # the run's snapshot) on its first update.
+        self._queries_submitted = self.metrics.lazy_counter("queries.submitted")
+        self._queue_depth = self.metrics.lazy_histogram("queue.depth", QUEUE_BOUNDS)
+        self._requests_sent = self.metrics.lazy_counter("requests.sent")
+        self._queries_completed = self.metrics.lazy_counter("queries.completed")
+        self._query_latency = self.metrics.lazy_histogram("query.latency")
+        self.disk_service_time = self.metrics.lazy_histogram("disk.service_time")
         self.sim = Simulator(tracer=self.tracer if self.trace else None)
         self.queries = list(queries)
         #: Lazy runs (the online engine) plan each query at submit time
@@ -81,9 +91,7 @@ class RequestPipeline:
             self.plans = [None] * len(self.queries)
         else:
             with PROFILER.phase("cluster.plan"):
-                self.plans = [
-                    self.coordinator.plan(i, q) for i, q in enumerate(self.queries)
-                ]
+                self.plans = self.coordinator.plan_batch(self.queries)
         self.nodes = [
             WorkerNode.create(
                 i,
@@ -160,10 +168,8 @@ class RequestPipeline:
         now = self.sim.now
         self.stats.record_submit(qid, now if arrival is None else arrival)
         plan = self._plan_of(qid)
-        self.metrics.counter("queries.submitted").inc()
-        self.metrics.histogram("queue.depth", bounds=QUEUE_BOUNDS).observe(
-            len(self.remaining)
-        )
+        self._queries_submitted.inc()
+        self._queue_depth.observe(len(self.remaining))
         if self.trace:
             self._qspan[qid] = self.tracer.span_open(
                 "query",
@@ -176,14 +182,14 @@ class RequestPipeline:
             now, self.coordinator.plan_cpu_time(plan)
         )
         if not plan.requests:
-            self.sim.schedule_at(lookup_end, self._complete, qid)
+            self.sim.call_at(lookup_end, self._complete, qid)
             return
         if self.autoscale is not None and self.autoscale.routes:
             requests = self.autoscale.route(plan, plan.requests)
         else:
             requests = self.selector.route(plan, plan.requests)
         if requests is None:
-            self.sim.schedule_at(lookup_end, self.degraded.abort, qid)
+            self.sim.call_at(lookup_end, self.degraded.abort, qid)
             return
         self.remaining[qid] = len(requests)
         for req in requests:
@@ -201,7 +207,7 @@ class RequestPipeline:
         _, send_end = self.coord_nic.reserve(earliest, t)
         self.stats.comm_time += t + self.net.latency
         arrive = send_end + self.net.latency
-        self.metrics.counter("requests.sent").inc()
+        self._requests_sent.inc()
         if self.trace:
             # Effective global disk per requested block (failover reads carry
             # explicit targets); lets traces reconstruct per-disk access
@@ -224,22 +230,26 @@ class RequestPipeline:
                 send_end=send_end,
                 arrive=arrive,
             )
-        self.sim.schedule_at(arrive, self.worker.receive, state)
+        self.sim.call_at(arrive, self.worker.receive, state)
         self.degraded.arm(state, arrive)
 
     def resend(self, qid: int, req: BlockRequest, earliest: float) -> None:
         """Re-transmit a request (retry or failover) in fresh state."""
         self._send_request(_RequestState(qid, req), earliest)
 
-    def _disk_lookup(self, req: BlockRequest):
-        """Bucket -> local disk mapping (replica-aware for rerouted reads)."""
-        if req.target_disks is None:
-            return self.coordinator.local_disk_of_bucket
+    def misses_per_disk(self, req: BlockRequest, missed: list) -> dict:
+        """``{local disk: missed blocks}`` of a request on its node, in
+        first-miss order (the order the disks get their jobs); rerouted
+        reads go to their failover targets."""
         dpn = self.params.disks_per_node
+        if dpn == 1:
+            return {0: len(missed)}
+        if req.target_disks is None:
+            return Counter((self.coordinator.assignment[missed] % dpn).tolist())
         local = {
             int(b): int(d) % dpn for b, d in zip(req.bucket_ids, req.target_disks)
         }
-        return local.__getitem__
+        return Counter(local[b] for b in missed)
 
     def disk_queue_of(self, disk: int):
         """The :class:`~repro.parallel.engine.scheduling.DiskQueue` in front
@@ -289,7 +299,7 @@ class RequestPipeline:
                 qid=state.qid,
                 ingest_end=ingest_end,
             )
-        self.sim.schedule_at(ingest_end, self._reply_done, state.qid)
+        self.sim.call_at(ingest_end, self._reply_done, state.qid)
 
     def _reply_done(self, qid: int) -> None:
         if qid not in self.remaining:
@@ -301,10 +311,8 @@ class RequestPipeline:
 
     def _complete(self, qid: int) -> None:
         self.stats.record_completion(qid, self.sim.now)
-        self.metrics.counter("queries.completed").inc()
-        self.metrics.histogram("query.latency").observe(
-            self.sim.now - self.stats.submit_time[qid]
-        )
+        self._queries_completed.inc()
+        self._query_latency.observe(self.sim.now - self.stats.submit_time[qid])
         if self.trace:
             span = self._qspan.pop(qid, None)
             if span is not None:

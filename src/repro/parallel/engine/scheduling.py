@@ -65,6 +65,10 @@ class DiskQueue:
     """
 
     name = "base"
+    #: True when every job finishes inside :meth:`submit` (its ``done``
+    #: callback has run before ``submit`` returns); such a queue also offers
+    #: ``reserve(now, service) -> (start, end)``.
+    completes_on_submit = False
 
     def __init__(self, sim, resource):
         self.sim = sim
@@ -88,10 +92,16 @@ class FifoDiskQueue(DiskQueue):
     """First-come-first-served: the analytic legacy reservation path."""
 
     name = "fifo"
+    completes_on_submit = True
+
+    def reserve(self, now: float, service: float) -> tuple[float, float]:
+        """The ``(start, end)`` window of a job arriving at ``now``; what
+        :meth:`submit` passes to ``done``, for callers with nothing to
+        call back."""
+        return self.resource.reserve(now, service)
 
     def submit(self, now, service, qid, n_blocks, done):
-        start, end = self.resource.reserve(now, service)
-        done(start, end)
+        done(*self.reserve(now, service))
 
 
 class _EventDrivenQueue(DiskQueue):
@@ -129,7 +139,7 @@ class _EventDrivenQueue(DiskQueue):
         end = start + job.service
         self.resource.busy_until = end
         self.resource.busy_time += job.service
-        self.sim.schedule_at(end, self._finish, job, start, end)
+        self.sim.call_at(end, self._finish, job, start, end)
 
     def _finish(self, job: DiskJob, start: float, end: float) -> None:
         self._busy = False

@@ -9,12 +9,15 @@ reply back through the node NIC toward the coordinator's ingest link.
 
 Under the default FIFO discipline every disk job completes synchronously
 (an analytic reservation), so the whole stage runs inline at the arrival
-instant — exactly the legacy code path, byte for byte.
+instant, with no completion callbacks — exactly the legacy code path,
+byte for byte.
 """
 
 from __future__ import annotations
 
 import weakref
+
+from repro.parallel.engine.scheduling import make_scheduler
 
 __all__ = ["WorkerStage"]
 
@@ -35,13 +38,15 @@ class WorkerStage:
     def __init__(self, pipeline):
         # Weak: the pipeline owns this stage (no cycle to collect).
         self.pipe = weakref.proxy(pipeline)
+        #: FIFO disks finish a job when it is submitted, so the stage
+        #: reserves them inline instead of through completion callbacks.
+        self.inline = make_scheduler(pipeline.params.scheduler).completes_on_submit
 
     def receive(self, state) -> None:
         """A block request arrives at its target node (post network)."""
         pipe = self.pipe
         req = state.req
         node = pipe.nodes[req.node_id]
-        entity = f"node{req.node_id}"
         if pipe.injector is not None:
             if not node.alive:
                 # Dropped on the floor; the timeout recovers it.
@@ -49,7 +54,7 @@ class WorkerStage:
                     pipe.tracer.event(
                         "request.drop",
                         pipe.sim.now,
-                        entity=entity,
+                        entity=f"node{req.node_id}",
                         cause=state.trace_id,
                         reason="node_down",
                     )
@@ -60,7 +65,7 @@ class WorkerStage:
                     pipe.tracer.event(
                         "message.drop",
                         pipe.sim.now,
-                        entity=entity,
+                        entity=f"node{req.node_id}",
                         cause=state.trace_id,
                         direction="request",
                     )
@@ -70,70 +75,80 @@ class WorkerStage:
             arrive_id = pipe.tracer.event(
                 "request.arrive",
                 pipe.sim.now,
-                entity=entity,
+                entity=f"node{req.node_id}",
                 cause=state.trace_id,
                 qid=state.qid,
                 n_blocks=req.n_blocks,
             )
-        misses_per_disk, n_misses = node.probe_cache(req, pipe._disk_lookup(req))
         arrival = pipe.sim.now
-        if not misses_per_disk:
-            self._filter_and_reply(state, node, entity, arrival, n_misses, arrive_id)
+        # Cache lookups happen in arrival order (FIFO node), so mutating the
+        # LRU here is consistent with processing order.
+        missed = node.cache.access_many(req.bucket_ids.tolist())
+        n_misses = len(missed)
+        if not missed:
+            self._filter_and_reply(state, node, arrival, 0, arrive_id)
             return
         # Disks work in parallel; each disk serves its blocks as one job
         # ordered by that disk's queue discipline.  The reply is assembled
         # when the last read lands.
-        fanout = _Fanout(len(misses_per_disk), arrival)
-        for d, n_blocks in misses_per_disk.items():
+        per_disk = pipe.misses_per_disk(req, missed)
+        queues = pipe.disk_queues[req.node_id]
+        if self.inline:
+            disk_done = arrival
+            for d, n_blocks in per_disk.items():
+                service, slow = node.disk_service(d, n_blocks)
+                start, end = queues[d].reserve(arrival, service)
+                self._disk_read(req.node_id, d, n_blocks, service, slow, start, end, arrive_id)
+                if end > disk_done:
+                    disk_done = end
+            self._filter_and_reply(state, node, disk_done, n_misses, arrive_id)
+            return
+        fanout = _Fanout(len(per_disk), arrival)
+        for d, n_blocks in per_disk.items():
             service, slow = node.disk_service(d, n_blocks)
-            pipe.disk_queues[req.node_id][d].submit(
+            queues[d].submit(
                 arrival,
                 service,
                 state.qid,
                 n_blocks,
                 self._on_disk_done(
-                    state, node, entity, fanout, d, n_blocks,
-                    service, slow, n_misses, arrive_id,
+                    state, node, fanout, d, n_blocks, service, slow, n_misses, arrive_id
                 ),
             )
 
-    def _on_disk_done(
-        self, state, node, entity, fanout, d, n_blocks, service, slow, n_misses, cause
-    ):
+    def _disk_read(self, node_id, d, n_blocks, service, slow, start, end, cause) -> None:
+        """Record one finished disk job: the service-time histogram and,
+        when tracing, a ``disk.read`` event."""
         pipe = self.pipe
+        pipe.disk_service_time.observe(service)
+        if pipe.trace:
+            pipe.tracer.event(
+                "disk.read",
+                pipe.sim.now,
+                entity=f"node{node_id}.disk{d}",
+                cause=cause,
+                n_blocks=n_blocks,
+                start=start,
+                end=end,
+                slowdown=slow,
+            )
 
+    def _on_disk_done(self, state, node, fanout, d, n_blocks, service, slow, n_misses, cause):
         def done(start: float, end: float) -> None:
-            pipe.metrics.histogram("disk.service_time").observe(service)
-            if pipe.trace:
-                pipe.tracer.event(
-                    "disk.read",
-                    pipe.sim.now,
-                    entity=f"{entity}.disk{d}",
-                    cause=cause,
-                    n_blocks=n_blocks,
-                    start=start,
-                    end=end,
-                    slowdown=slow,
-                )
+            self._disk_read(node.node_id, d, n_blocks, service, slow, start, end, cause)
             fanout.done = max(fanout.done, end)
             fanout.left -= 1
             if fanout.left == 0:
-                self._filter_and_reply(state, node, entity, fanout.done, n_misses, cause)
+                self._filter_and_reply(state, node, fanout.done, n_misses, cause)
 
         return done
 
-    def _filter_and_reply(
-        self, state, node, entity, disk_done, n_misses, cause
-    ) -> None:
+    def _filter_and_reply(self, state, node, disk_done, n_misses, cause) -> None:
         """CPU filter pass, then stream the reply through the node NIC."""
         pipe = self.pipe
         req = state.req
-        ready, reply = node.finish_request(
-            disk_done, req, req.candidates, req.qualified, n_misses
-        )
-        reply_bytes = (
-            pipe.params.header_bytes + pipe.params.record_bytes * reply.n_qualified
-        )
+        ready = node.finish_request(disk_done, req, n_misses)
+        reply_bytes = pipe.params.header_bytes + pipe.params.record_bytes * req.qualified
         t = pipe.net.transfer_time(reply_bytes)
         _, send_end = node.nic.reserve(ready, t)
         pipe.stats.comm_time += t + pipe.net.latency
@@ -142,16 +157,16 @@ class WorkerStage:
             reply_id = pipe.tracer.event(
                 "reply.send",
                 pipe.sim.now,
-                entity=entity,
+                entity=f"node{req.node_id}",
                 cause=cause,
                 qid=state.qid,
                 ready=ready,
                 send_end=send_end,
-                n_qualified=reply.n_qualified,
-                n_cache_misses=reply.n_cache_misses,
+                n_qualified=req.qualified,
+                n_cache_misses=n_misses,
                 reply_bytes=reply_bytes,
             )
-        pipe.sim.schedule_at(
+        pipe.sim.call_at(
             send_end + pipe.net.latency,
             pipe._coordinator_receive,
             state,

@@ -8,7 +8,8 @@ grid files actually survives.  A :class:`FaultPlan` is a schedule of
 exponentials via :meth:`FaultPlan.random_crashes` — and a
 :class:`FaultInjector` binds the plan to one engine run: at each event time
 it mutates the degradable per-node/per-disk state that
-:meth:`repro.parallel.node.WorkerNode.serve` and the cost models consult.
+the worker stage (:mod:`repro.parallel.engine.worker`) and the cost models
+consult.
 
 Fault kinds
 -----------
@@ -210,7 +211,7 @@ class FaultInjector:
         # Weak: the engine owns its injector (no cycle to collect).
         self._engine = weakref.proxy(engine)
         for ev in self.plan.sorted_events():
-            engine.sim.schedule_at(ev.time, self._apply, ev)
+            engine.sim.call_at(ev.time, self._apply, ev)
 
     def _apply(self, ev: FaultEvent) -> None:
         engine = self._engine

@@ -1,24 +1,29 @@
 """Protocol messages of the SPMD parallel grid file.
 
 The coordinator translates each range query into per-node
-:class:`BlockRequest` messages; workers answer with :class:`BlockReply`
-carrying the qualified records.  Message *sizes* (which drive the network
-cost model) are computed by the cluster from the record width and header
-constants.
+:class:`BlockRequest` messages; each worker answers with one reply carrying
+the request's qualified records.  Only message *sizes* travel in the
+simulation (they drive the network cost model); the cluster computes them
+from the record width and header constants, so a reply needs no object of
+its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BlockRequest", "BlockReply"]
+__all__ = ["BlockRequest"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockRequest:
     """Coordinator -> worker: fetch these buckets for query ``query_id``.
+
+    A message is never changed once built (:meth:`retry` makes a new one);
+    it is not frozen only because a frozen dataclass takes several times as
+    long to build, and a plan builds one per involved node.
 
     The retry metadata (``attempt``, ``target_disks``) is filled in by the
     fault-tolerant engine: ``attempt`` counts prior transmissions of the same
@@ -39,11 +44,11 @@ class BlockRequest:
     attempt: int = 0
     #: Effective per-bucket disk ids after failover (None = primary copies).
     target_disks: "np.ndarray | None" = None
+    #: Number of blocks requested (``len(bucket_ids)``).
+    n_blocks: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n_blocks(self) -> int:
-        """Number of blocks requested."""
-        return int(len(self.bucket_ids))
+    def __post_init__(self):
+        self.n_blocks = len(self.bucket_ids)
 
     def retry(self) -> "BlockRequest":
         """Copy of this request with the attempt counter bumped."""
@@ -56,19 +61,3 @@ class BlockRequest:
             attempt=self.attempt + 1,
             target_disks=self.target_disks,
         )
-
-
-@dataclass(frozen=True)
-class BlockReply:
-    """Worker -> coordinator: qualified records of one request.
-
-    Only counts travel in the simulation; the actual record payload is
-    represented by its size.
-    """
-
-    query_id: int
-    node_id: int
-    n_blocks: int
-    n_cache_misses: int
-    n_candidates: int
-    n_qualified: int

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro._util.lru import LRUCache
 from repro.parallel.des import Resource
 from repro.parallel.disk import DiskModel
-from repro.parallel.message import BlockReply, BlockRequest
+from repro.parallel.message import BlockRequest
 
 __all__ = ["WorkerNode"]
 
@@ -27,8 +27,9 @@ class WorkerNode:
     Degradable state (mutated by :class:`repro.parallel.faults.FaultInjector`
     mid-run): ``alive`` gates whether delivered requests are served at all,
     and ``disk_slowdown`` holds a per-local-disk service-time multiplier that
-    :meth:`serve` applies on every read.  Crash/recovery bookkeeping feeds the
-    alive-window utilization in :class:`repro.parallel.cluster.PerfReport`.
+    :meth:`disk_service` applies on every read.  Crash/recovery bookkeeping
+    feeds the alive-window utilization in
+    :class:`repro.parallel.cluster.PerfReport`.
     """
 
     node_id: int
@@ -107,22 +108,6 @@ class WorkerNode:
             down += max(0.0, elapsed - self.down_since)
         return max(0.0, elapsed - down)
 
-    def probe_cache(self, request: BlockRequest, disk_of_bucket) -> tuple[dict, int]:
-        """Cache stage of a block request: which blocks must hit which disk.
-
-        Cache lookups happen in arrival order (FIFO node), so mutating the
-        LRU here is consistent with processing order.  Returns the
-        ``{local_disk: n_missing_blocks}`` map and the total miss count.
-        """
-        misses_per_disk: dict[int, int] = {}
-        n_misses = 0
-        for bid in request.bucket_ids:
-            if not self.cache.access(int(bid)):
-                d = disk_of_bucket(int(bid))
-                misses_per_disk[d] = misses_per_disk.get(d, 0) + 1
-                n_misses += 1
-        return misses_per_disk, n_misses
-
     def disk_service(self, local_disk: int, n_blocks: int) -> tuple[float, float]:
         """(service seconds, slowdown factor) for reading ``n_blocks``
         sequentially from ``local_disk``, fault slowdowns applied."""
@@ -133,95 +118,15 @@ class WorkerNode:
         )
         return self.disk_model.service_time(n_blocks, slow), slow
 
-    def finish_request(
-        self,
-        disk_done: float,
-        request: BlockRequest,
-        candidates: int,
-        qualified: int,
-        n_misses: int,
-    ) -> tuple[float, BlockReply]:
-        """Filter/aggregate stage: CPU pass once all blocks are in memory,
-        run-counter bookkeeping, and the reply message.  Returns the time
-        the reply payload is ready for the NIC and the reply."""
-        _, cpu_done = self.cpu.reserve(disk_done, self.cpu_filter_per_record * candidates)
+    def finish_request(self, disk_done: float, request: BlockRequest, n_misses: int) -> float:
+        """Filter stage: the CPU pass over the request's candidate records
+        once all blocks are in memory, plus the run counters.  Returns the
+        time the reply payload is ready for the NIC."""
+        _, cpu_done = self.cpu.reserve(
+            disk_done, self.cpu_filter_per_record * request.candidates
+        )
         self.blocks_requested += request.n_blocks
         self.blocks_read += n_misses
-        self.records_filtered += candidates
-        self.records_qualified += qualified
-        reply = BlockReply(
-            query_id=request.query_id,
-            node_id=self.node_id,
-            n_blocks=request.n_blocks,
-            n_cache_misses=n_misses,
-            n_candidates=candidates,
-            n_qualified=qualified,
-        )
-        return cpu_done, reply
-
-    def serve(
-        self,
-        arrival: float,
-        request: BlockRequest,
-        disk_of_bucket,
-        candidates: int,
-        qualified: int,
-        tracer=None,
-        cause=None,
-        metrics=None,
-    ) -> tuple[float, BlockReply]:
-        """Process a block request arriving at ``arrival``.
-
-        Parameters
-        ----------
-        arrival:
-            Simulated arrival time of the request at this node.
-        request:
-            The block request.
-        disk_of_bucket:
-            Callable mapping a bucket id to this node's local disk index.
-        candidates:
-            Number of records in the requested buckets (CPU filter cost).
-        qualified:
-            Number of records inside the query box (reply payload).
-        tracer:
-            Optional enabled :class:`repro.obs.Tracer`; each disk
-            reservation emits a ``disk.read`` event (entity
-            ``node{i}.disk{d}``, reservation window in attrs).
-        cause:
-            Trace id of the causing record (the request arrival).
-        metrics:
-            Optional :class:`repro.obs.MetricsRegistry`; observes the
-            ``disk.service_time`` histogram per reservation.
-
-        Returns
-        -------
-        (ready_time, reply):
-            Time at which the reply payload is ready for the NIC (CPU done),
-            and the reply message.
-        """
-        misses_per_disk, n_misses = self.probe_cache(request, disk_of_bucket)
-
-        # Disks work in parallel; each disk serves its blocks as one request.
-        # A degraded disk's fault-injected slowdown multiplies service time.
-        disk_done = arrival
-        for d, n_blocks in misses_per_disk.items():
-            service, slow = self.disk_service(d, n_blocks)
-            start, end = self.disks[d].reserve(arrival, service)
-            if metrics is not None:
-                metrics.histogram("disk.service_time").observe(service)
-            if tracer is not None:
-                tracer.event(
-                    "disk.read",
-                    arrival,
-                    entity=f"node{self.node_id}.disk{d}",
-                    cause=cause,
-                    n_blocks=n_blocks,
-                    start=start,
-                    end=end,
-                    slowdown=slow,
-                )
-            disk_done = max(disk_done, end)
-
-        # CPU filtering starts when all blocks are in memory.
-        return self.finish_request(disk_done, request, candidates, qualified, n_misses)
+        self.records_filtered += request.candidates
+        self.records_qualified += request.qualified
+        return cpu_done

@@ -243,7 +243,7 @@ class _OnlineDriver:
         # Open arrivals: an op never starts before its arrival instant, but
         # the stream stays sequential (closed once the system is saturated).
         if op.time is not None and op.time > self.sim.now:
-            self.sim.schedule_at(float(op.time), self._start_op, op)
+            self.sim.call_at(float(op.time), self._start_op, op)
         else:
             self._start_op(op)
 
@@ -277,7 +277,7 @@ class _OnlineDriver:
             ):
                 end = self._reorganize()
                 if end > self.sim.now:
-                    self.sim.schedule_at(end, self._next_op)
+                    self.sim.call_at(end, self._next_op)
                     return
         self._next_op()
 
@@ -298,13 +298,13 @@ class _OnlineDriver:
                 rid = int(op.record_id)
                 if not self.gf.is_live(rid):
                     self.n_noop_deletes += 1
-                    self.sim.schedule_at(cpu_end, self._write_done, op)
+                    self.sim.call_at(cpu_end, self._write_done, op)
                     return
             else:
                 live = self.gf.live_record_ids()
                 if live.size == 0:
                     self.n_noop_deletes += 1
-                    self.sim.schedule_at(cpu_end, self._write_done, op)
+                    self.sim.call_at(cpu_end, self._write_done, op)
                     return
                 rid = int(live[min(int(op.delete_rank * live.size), live.size - 1)])
             cell = self.gf.scales.locate(self.gf.points[rid])
@@ -323,7 +323,7 @@ class _OnlineDriver:
                 bucket=int(bid),
                 node=node_id,
             )
-        self.sim.schedule_at(
+        self.sim.call_at(
             send_end + self.net.latency, self._worker_write, op, int(bid), rid, node_id
         )
 
@@ -339,7 +339,7 @@ class _OnlineDriver:
     def _worker_write(self, op: Operation, bid: int, rid: int, node_id: int) -> None:
         # Read-modify-write of the target block on its owning disk.
         end = self._disk_op(self.assign_list[bid], self.sim.now)
-        self.sim.schedule_at(end, self._apply_write, op, rid, node_id)
+        self.sim.call_at(end, self._apply_write, op, rid, node_id)
 
     def _apply_write(self, op: Operation, rid: int, node_id: int) -> None:
         self._pending_new.clear()
@@ -387,7 +387,7 @@ class _OnlineDriver:
         t = self.net.transfer_time(self.params.header_bytes)
         _, ack_end = self.nodes[node_id].nic.reserve(end, t)
         self.pipe.stats.comm_time += t + self.net.latency
-        self.sim.schedule_at(ack_end + self.net.latency, self._write_done, op)
+        self.sim.call_at(ack_end + self.net.latency, self._write_done, op)
 
     def _write_done(self, op: Operation) -> None:
         self.write_time += self.sim.now - self._write_submit

@@ -7,6 +7,7 @@ the two result for result.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,59 @@ def reference_plan(coordinator, query_id: int, query) -> QueryPlan:
         candidates_per_bucket=cand_bucket,
         qualified_per_bucket=qual_bucket,
     )
+
+
+class WorkerReply(NamedTuple):
+    """What :func:`serve_reference` reports about one served request."""
+
+    n_blocks: int
+    n_cache_misses: int
+    n_candidates: int
+    n_qualified: int
+
+
+def serve_reference(
+    node, arrival: float, request, disk_of_bucket, candidates: int, qualified: int, tracer=None
+):
+    """The worker stage for one request arriving at ``arrival``, as a loop.
+
+    Probes ``node``'s LRU once per block in request order, reserves each
+    local disk (``disk_of_bucket(bucket)``) for its missed blocks in
+    first-miss order, then reserves the CPU filter pass over ``candidates``
+    records once the last read lands.  With an enabled ``tracer``, each
+    disk reservation emits a ``disk.read`` event like the engine's.
+    Returns ``(ready_time, reply)``: when the reply payload is ready for
+    the NIC, and its counts.
+    """
+    misses_per_disk: dict = {}
+    n_misses = 0
+    for bid in request.bucket_ids:
+        if not node.cache.access(int(bid)):
+            d = disk_of_bucket(int(bid))
+            misses_per_disk[d] = misses_per_disk.get(d, 0) + 1
+            n_misses += 1
+    disk_done = arrival
+    for d, n_blocks in misses_per_disk.items():
+        service, slow = node.disk_service(d, n_blocks)
+        start, end = node.disks[d].reserve(arrival, service)
+        if tracer is not None:
+            tracer.event(
+                "disk.read",
+                arrival,
+                entity=f"node{node.node_id}.disk{d}",
+                n_blocks=n_blocks,
+                start=start,
+                end=end,
+                slowdown=slow,
+            )
+        disk_done = max(disk_done, end)
+    _, ready = node.cpu.reserve(disk_done, node.cpu_filter_per_record * candidates)
+    n_blocks = len(request.bucket_ids)
+    node.blocks_requested += n_blocks
+    node.blocks_read += n_misses
+    node.records_filtered += candidates
+    node.records_qualified += qualified
+    return ready, WorkerReply(n_blocks, n_misses, candidates, qualified)
 
 
 def str_rtree_reference(points: np.ndarray, max_entries: int) -> tuple[list, list]:

@@ -1,6 +1,8 @@
 """Tests for the LRU cache, disk model and network model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel import DiskModel, LRUCache, NetworkModel
 
@@ -54,6 +56,30 @@ class TestLRUCache:
         for i in range(10):
             c.access(i)
         assert len(c) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.lists(st.lists(st.integers(0, 12), max_size=8), max_size=20),
+)
+def test_access_many_matches_sequential_access(capacity, requests):
+    """One batched probe per request leaves the cache exactly as one
+    ``access`` per block would: misses, counts, recency and evictions."""
+    batched, sequential = LRUCache(capacity), LRUCache(capacity)
+    for blocks in requests:
+        missed = [b for b in blocks if not sequential.access(b)]
+        assert batched.access_many(blocks) == missed
+        assert (batched.hits, batched.misses) == (sequential.hits, sequential.misses)
+        assert list(batched._blocks) == list(sequential._blocks)
+
+
+def test_access_many_evicts_in_lru_order():
+    c = LRUCache(3)
+    assert c.access_many([1, 2, 3]) == [1, 2, 3]
+    assert c.access_many([1, 4, 5]) == [4, 5]  # 1 refreshed; 2 then 3 evicted
+    assert list(c._blocks) == [1, 4, 5]
+    assert (c.hits, c.misses) == (1, 5)
 
 
 class TestDiskModel:

@@ -211,3 +211,56 @@ class TestLoadReportImbalance:
 
     def test_single_zero_node(self):
         assert self._report([0]).imbalance == 1.0
+
+
+class TestGeometryValidation:
+    """Bad cluster geometry or cost constants fail at construction, naming
+    the field, instead of deep inside a run."""
+
+    @pytest.mark.parametrize("dpn", [0, -1])
+    def test_rejects_disks_per_node_below_one(self, deployed, dpn):
+        gf, assignment = deployed
+        with pytest.raises(ValueError, match="disks_per_node"):
+            ParallelGridFile(gf, assignment, 8, ClusterParams(disks_per_node=dpn))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "lookup_time",
+            "plan_time_per_bucket",
+            "cpu_filter_per_record",
+            "record_bytes",
+            "header_bytes",
+            "bucket_id_bytes",
+            "retry_backoff",
+            "heartbeat_delay",
+        ],
+    )
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_rejects_negative_cost_and_size_constants(self, deployed, field, value):
+        gf, assignment = deployed
+        with pytest.raises(ValueError, match=field):
+            ParallelGridFile(gf, assignment, 8, ClusterParams(**{field: value}))
+
+    def test_zero_constants_are_allowed(self, deployed, rng):
+        gf, assignment = deployed
+        queries = square_queries(5, 0.1, [0, 0], [2000, 2000], rng=rng)
+        perf = run(gf, assignment, 8, queries, lookup_time=0.0, cpu_filter_per_record=0.0,
+                   record_bytes=0, header_bytes=0, bucket_id_bytes=0, plan_time_per_bucket=0.0)
+        assert perf.n_queries == 5
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"disks_per_node": -1}, "disks_per_node"),
+            ({"disks_per_node": 0}, "disks_per_node"),
+            ({"lookup_time": -1e-3}, "lookup_time"),
+            ({"plan_time_per_bucket": -1e-6}, "plan_time_per_bucket"),
+        ],
+    )
+    def test_coordinator_rejects_bad_geometry(self, deployed, kwargs, field):
+        from repro.parallel.coordinator import Coordinator
+
+        gf, assignment = deployed
+        with pytest.raises(ValueError, match=field):
+            Coordinator(gf, assignment, 4 if "disks_per_node" in kwargs else 8, **kwargs)

@@ -213,6 +213,53 @@ class TestEventCancellation:
         assert sim.now == 1.0
 
 
+class TestHandleFreeEvents:
+    def test_call_at_orders_with_schedule_at_by_time_then_insertion(self):
+        sim = Simulator()
+        log = []
+        sim.call_at(1.0, log.append, "a")
+        sim.schedule_at(1.0, log.append, "b")
+        sim.call_at(0.5, log.append, "first")
+        sim.call_at(1.0, log.append, "c")
+        sim.schedule(1.0, log.append, "d")
+        assert sim.call_at(2.0, log.append, "e") is None
+        sim.run()
+        assert log == ["first", "a", "b", "c", "d", "e"]
+        assert sim.now == 2.0
+
+    def test_pending_counts_handle_free_events(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        ev = sim.schedule_at(1.0, lambda: None)
+        sim.call_at(2.0, lambda: None)
+        assert sim.pending == 3
+        ev.cancel()
+        assert sim.pending == 2
+        sim.run(until=1.0)
+        assert sim.pending == 1
+
+    def test_cancelled_events_between_handle_free_ones(self):
+        sim = Simulator()
+        log = []
+        sim.call_at(1.0, log.append, 1)
+        doomed = [sim.schedule_at(t, log.append, "x") for t in (1.0, 1.5, 3.0)]
+        sim.call_at(1.5, log.append, 2)
+        sim.call_at(1.5, doomed[2].cancel)
+        doomed[0].cancel()
+        doomed[1].cancel()
+        sim.call_at(2.0, log.append, 3)
+        sim.run()
+        assert log == [1, 2, 3]
+        assert sim.now == 2.0  # the cancelled 3.0 event never advanced the clock
+        assert not any(ev.fired for ev in doomed)
+
+    def test_call_at_refuses_the_past(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: sim.call_at(0.5, lambda: None))
+        with pytest.raises(ValueError, match="past"):
+            sim.run()
+
+
 class TestResource:
     def test_idle_reserve_starts_immediately(self):
         r = Resource("disk")

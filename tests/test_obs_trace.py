@@ -8,6 +8,7 @@ causal invariants over whole cluster runs live in
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,33 @@ class TestMetrics:
         assert h.count == 5
         assert h.min == 0.5 and h.max == 100.0
         assert h.mean == pytest.approx(106.0 / 5)
+
+    def test_histogram_values_on_a_bound_land_in_its_bucket(self):
+        h = Histogram(bounds=(1.0, 2.0, 4.0))
+        for v in (1.0, 2.0, 4.0, 4.000001, -math.inf, math.inf):
+            h.observe(v)
+        assert h.bucket_counts == [2, 1, 1, 2]
+        assert h.min == -math.inf and h.max == math.inf
+
+    def test_histogram_nan_goes_to_overflow(self):
+        h = Histogram(bounds=(1.0, 2.0))
+        h.observe(0.5)
+        h.observe(math.nan)
+        assert h.bucket_counts == [1, 0, 1]
+        assert h.count == 2 and math.isnan(h.total)
+        assert h.min == 0.5 and h.max == 0.5  # NaN never compares less/greater
+
+    def test_lazy_instruments_join_the_snapshot_on_first_update(self):
+        reg = MetricsRegistry()
+        sent = reg.lazy_counter("sent")
+        lat = reg.lazy_histogram("lat", bounds=(1.0,))
+        assert reg.snapshot() == {}
+        sent.inc()
+        sent.inc(2)
+        assert reg.snapshot() == {"counters": {"sent": 3}}
+        lat.observe(0.5)
+        assert reg.histogram("lat", bounds=(1.0,)).bucket_counts == [1, 0]
+        assert reg.counter("sent").value == 3
 
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
