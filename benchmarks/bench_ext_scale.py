@@ -1,26 +1,25 @@
-"""Extension: quality-vs-time frontier of the scalable minimax path.
+"""Extension: quality frontier of the scalable minimax path.
 
 The exact minimax declusterer (`repro.core.minimax`) evaluates all O(N²)
 pairwise proximities; the scalable path (`repro.core.scalable`) replaces
 that with a sparse SFC-window k-NN graph and a coarsen-partition-refine
 hierarchy, trading a bounded amount of partition quality for near-linear
-time and O(N·k) memory.  This bench maps that trade on synthetic box sets:
-for each N it times the sparse path, reports partition quality as summed
-query response time ``Σ_q max_i N_i(q)`` against a fixed random square
-workload, and — while the dense oracle is still affordable — the quality
-ratio against the exact algorithm.
+time and O(N·k) memory.  This bench maps the quality side of that trade on
+synthetic box sets: for each N it reports the sparse path's partition
+quality as summed query response time ``Σ_q max_i N_i(q)`` against a fixed
+random square workload, and — while the dense oracle is still affordable —
+the quality ratio against the exact algorithm.
 
 Quality numbers (response sums, ratios, graph edge counts) are fully
 deterministic, so ``tools/bench_compare.py --exact`` against the committed
-baseline acts as a behavioural regression gate in CI; the ``*_wall``
-wall-clock columns are informational only (host-dependent).
+baseline acts as a behavioural regression gate in CI, and the table has no
+wall-clock column, so a regenerated table equals the committed one byte
+for byte.  The ``decluster`` workload of ``bench/`` measures wall time.
 
 ``REPRO_BENCH_FULL=1`` extends the sweep to 100k and 1M buckets — the
 million-bucket row is the paper-scale headline (completes in minutes on a
 laptop; the dense path would need ~4 TB for its weight matrix alone).
 """
-
-import time
 
 import numpy as np
 from conftest import FULL, SEED, once
@@ -73,16 +72,13 @@ def _run():
         rng = np.random.default_rng(SEED)
         lo, hi = _boxes(n, rng)
 
-        t0 = time.perf_counter()
         sparse = scalable_minimax_partition(
             lo, hi, LENGTHS, DISKS, rng=0, dense_threshold=0
         )
-        sparse_wall = time.perf_counter() - t0
 
         graph = knn_graph(lo, hi, LENGTHS)
         resp, opt = _response_sum(lo, hi, sparse, queries)
         cell = {
-            "sparse_wall": round(sparse_wall, 3),
             "response_blocks": resp,
             "optimal_blocks": opt,
             "ratio_vs_optimal": round(resp / opt, 4) if opt else 1.0,
@@ -92,9 +88,7 @@ def _run():
         }
 
         if n <= ORACLE_MAX:
-            t0 = time.perf_counter()
             dense = minimax_partition(lo, hi, LENGTHS, DISKS, rng=0)
-            cell["oracle_wall"] = round(time.perf_counter() - t0, 3)
             oracle_resp, _ = _response_sum(lo, hi, dense, queries)
             cell["oracle_blocks"] = oracle_resp
             cell["ratio_vs_oracle"] = (
@@ -105,8 +99,6 @@ def _run():
         rows.append(
             [
                 n,
-                cell["sparse_wall"],
-                cell.get("oracle_wall", "-"),
                 cell["response_blocks"],
                 cell.get("oracle_blocks", "-"),
                 cell.get("ratio_vs_oracle", "-"),
@@ -124,8 +116,6 @@ def test_ext_scale_frontier(benchmark, report_sink):
         format_table(
             [
                 "N buckets",
-                "sparse (s)",
-                "exact (s)",
                 "blocks",
                 "exact blocks",
                 "vs exact",
@@ -134,7 +124,7 @@ def test_ext_scale_frontier(benchmark, report_sink):
             ],
             rows,
             title=(
-                "Extension: scalable-minimax quality/time frontier "
+                "Extension: scalable-minimax quality frontier "
                 f"(synthetic 2-d boxes, {DISKS} disks, {N_QUERIES} queries)"
             ),
         ),

@@ -1,8 +1,7 @@
 """A fixed-capacity LRU set of keys.
 
-Shared by the cluster simulator (per-node buffer caches of disk blocks,
-:mod:`repro.parallel.node`) and the paged-directory model
-(:mod:`repro.gridfile.paged`).  A hit refreshes recency; an overflowing
+The cluster simulator's per-node buffer cache of disk blocks
+(:mod:`repro.parallel.node`).  A hit refreshes recency; an overflowing
 insert evicts the least recently used key.
 """
 

@@ -15,8 +15,8 @@ This package provides:
 * :func:`~repro.gridfile.cartesian.cartesian_product_file` — the special
   case where every cell is its own bucket (used by the analytic theorems);
 * :class:`~repro.gridfile.query.RangeQuery` and query processing;
-* persistence helpers that mirror the paper's simulator layout (declustered
-  per-disk files).
+* :func:`~repro.gridfile.persistence.export_declustered`, which writes the
+  paper's simulator layout (one file per disk).
 """
 
 from repro.gridfile.bucket import Bucket
@@ -25,12 +25,7 @@ from repro.gridfile.cartesian import cartesian_product_file, cartesian_scales
 from repro.gridfile.directory import Directory
 from repro.gridfile.gridfile import GridFile
 from repro.gridfile.knn import knn_query
-from repro.gridfile.paged import AccessStats, PagedGridFile
-from repro.gridfile.persistence import (
-    export_declustered,
-    load_gridfile,
-    save_gridfile,
-)
+from repro.gridfile.persistence import export_declustered
 from repro.gridfile.query import PartialMatchQuery, RangeQuery
 from repro.gridfile.regions import CellBox
 from repro.gridfile.scales import Scales
@@ -40,9 +35,7 @@ __all__ = [
     "CellBox",
     "Directory",
     "GridFile",
-    "PagedGridFile",
     "knn_query",
-    "AccessStats",
     "PartialMatchQuery",
     "RangeQuery",
     "Scales",
@@ -50,6 +43,4 @@ __all__ = [
     "cartesian_product_file",
     "cartesian_scales",
     "export_declustered",
-    "load_gridfile",
-    "save_gridfile",
 ]

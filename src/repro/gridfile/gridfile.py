@@ -637,20 +637,6 @@ class GridFile:
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         return np.sort(rec[inside])
 
-    def partial_match_buckets(self, spec: dict[int, float], include_empty: bool = False) -> np.ndarray:
-        """Buckets matching a partial-match query.
-
-        ``spec`` maps dimension index to the specified key value; unspecified
-        dimensions range over the whole domain.
-        """
-        lo = self.scales.domain_lo.copy()
-        hi = self.scales.domain_hi.copy()
-        for k, v in spec.items():
-            if not 0 <= k < self.dims:
-                raise ValueError(f"dimension {k} out of range")
-            lo[k] = hi[k] = float(v)
-        return self.query_buckets(lo, hi, include_empty=include_empty)
-
     # ------------------------------------------------------------ structure
 
     def invalidate_caches(self, bucket_id: "int | None" = None) -> None:

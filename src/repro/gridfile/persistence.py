@@ -1,10 +1,10 @@
-"""Saving/loading grid files, and the paper-simulator disk layout.
+"""The paper-simulator disk layout of a declustered grid file.
 
 The paper's simulator "reads in the dataset and declusters it to separate
 files corresponding to every disk being simulated".  :func:`export_declustered`
 reproduces that layout (one ``disk_XXX.npz`` per disk holding its buckets'
-regions and records); :func:`save_gridfile`/:func:`load_gridfile` round-trip
-the whole structure through a single ``.npz``.
+regions and records).  A grid file that must outlive the process is kept
+in a :class:`repro.storage.DurableGridFile`.
 """
 
 from __future__ import annotations
@@ -14,75 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.gridfile.bucket import Bucket
-from repro.gridfile.directory import Directory
 from repro.gridfile.gridfile import GridFile
-from repro.gridfile.regions import CellBox
-from repro.gridfile.scales import Scales
 
-__all__ = ["save_gridfile", "load_gridfile", "export_declustered"]
-
-
-def save_gridfile(gf: GridFile, path) -> None:
-    """Serialize a grid file to a single ``.npz`` archive."""
-    path = Path(path)
-    lo_cells, hi_cells = gf.bucket_cell_boxes()
-    rec_concat = np.concatenate(
-        [b.record_array() for b in gf.buckets] or [np.empty(0, dtype=np.int64)]
-    )
-    rec_offsets = np.cumsum([0] + [b.n_records for b in gf.buckets])
-    overflowed = np.array([b.overflowed for b in gf.buckets], dtype=bool)
-    arrays = {
-        "points": gf.coords(),
-        "deleted": np.fromiter(sorted(gf._deleted), dtype=np.int64),
-        "domain_lo": gf.scales.domain_lo,
-        "domain_hi": gf.scales.domain_hi,
-        "directory": gf.directory.grid,
-        "bucket_lo": lo_cells,
-        "bucket_hi": hi_cells,
-        "rec_concat": rec_concat,
-        "rec_offsets": rec_offsets,
-        "overflowed": overflowed,
-        "meta": np.frombuffer(
-            json.dumps(
-                {"capacity": gf.capacity, "split_policy": gf.split_policy}
-            ).encode(),
-            dtype=np.uint8,
-        ),
-    }
-    for k in range(gf.dims):
-        arrays[f"boundaries_{k}"] = gf.scales.boundaries[k]
-    np.savez_compressed(path, **arrays)
-
-
-def load_gridfile(path) -> GridFile:
-    """Load a grid file saved with :func:`save_gridfile`."""
-    with np.load(Path(path)) as z:
-        meta = json.loads(bytes(z["meta"]).decode())
-        d = z["domain_lo"].shape[0]
-        scales = Scales(
-            z["domain_lo"], z["domain_hi"], [z[f"boundaries_{k}"] for k in range(d)]
-        )
-        directory = Directory.from_array(z["directory"])
-        offsets = z["rec_offsets"]
-        rec = z["rec_concat"]
-        buckets = []
-        for bid in range(z["bucket_lo"].shape[0]):
-            box = CellBox(z["bucket_lo"][bid], z["bucket_hi"][bid])
-            b = Bucket(bid, box, rec[offsets[bid] : offsets[bid + 1]].tolist())
-            b.overflowed = bool(z["overflowed"][bid])
-            buckets.append(b)
-        gf = GridFile(
-            scales,
-            directory,
-            buckets,
-            z["points"],
-            meta["capacity"],
-            meta["split_policy"],
-        )
-        if "deleted" in z.files:
-            gf._deleted = set(int(r) for r in z["deleted"])
-        return gf
+__all__ = ["export_declustered"]
 
 
 def export_declustered(gf: GridFile, assignment: np.ndarray, out_dir) -> list[Path]:

@@ -26,11 +26,14 @@ from repro.parallel.autoscale import (
     ScalePlan,
     make_autoscale_policy,
 )
-from repro.parallel.cluster import ClusterParams, LoadReport, ParallelGridFile, PerfReport
 from repro.parallel.des import Event, Resource, Simulator
 from repro.parallel.engine import (
     REPLICA_POLICIES,
     SCHEDULERS,
+    ClusterParams,
+    LoadReport,
+    ParallelGridFile,
+    PerfReport,
     RequestPipeline,
     make_replica_policy,
     make_scheduler,

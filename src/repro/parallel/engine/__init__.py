@@ -1,10 +1,27 @@
-"""The composable cluster engine: an explicit request pipeline.
+"""The simulated shared-nothing cluster: an explicit request pipeline.
 
-This package is the carved-up successor of the monolithic
-``repro.parallel.cluster`` engine.  One query flows through explicit
-stages — admission → plan/route → cache probe → replica selection → disk
-service → filter/aggregate → reply — each owned by a small object, with
-three pluggable seams:
+Drives the full §3.5 protocol on the discrete-event kernel:
+
+1. the coordinator plans the query (CPU), then sends one block request per
+   involved node over its NIC (serialized sends, latency per message);
+2. each worker reads its cache-missing blocks from its local disks (parallel
+   across disks, scheduled per disk), filters candidates on its CPU, and
+   streams the qualified records back over its NIC;
+3. the coordinator's ingest link receives replies one at a time — the
+   shared bottleneck that makes communication time grow with answer size;
+4. a query completes when every reply has been ingested.
+
+:class:`~repro.parallel.engine.runners.ParallelGridFile` runs a workload
+*closed* (``run_queries``: ``pipeline_depth`` outstanding queries, default
+1, the paper's sequential workload) or *open* (``run_open``: Poisson
+arrivals handed to the admission controller).  Reported metrics mirror
+Tables 4-5: *response time by definition* (blocks, ``max_i N_i(q)`` summed
+over queries — a pure declustering property), *communication time* and
+*elapsed time*, plus latency, cache and utilization detail.
+
+One query flows through explicit stages — admission → plan/route → cache
+probe → replica selection → disk service → filter/aggregate → reply — each
+owned by a small object, with three pluggable seams:
 
 * **disk scheduling** (:mod:`~repro.parallel.engine.scheduling`):
   ``fifo`` / ``sjf`` / ``fair`` per-disk queue disciplines;
@@ -14,13 +31,14 @@ three pluggable seams:
   unbounded (legacy), ``max_inflight`` bounding and ``deadline`` shedding
   for open-system runs.
 
-Degraded mode (timeout → retry → suspect → failover → abort) is its own
-stage (:mod:`~repro.parallel.engine.degraded`); shared per-run bookkeeping
-lives in :mod:`~repro.parallel.engine.stats`.
-
-The default configuration reproduces the legacy engine byte for byte
-(``tests/test_engine_neutrality.py``).  The public entry points re-export
-through :mod:`repro.parallel.cluster` and :mod:`repro.parallel` unchanged.
+Degraded mode (timeout → retry → suspect → failover → abort, driven by a
+:class:`repro.parallel.faults.FaultPlan`) is its own stage
+(:mod:`~repro.parallel.engine.degraded`); shared per-run bookkeeping lives
+in :mod:`~repro.parallel.engine.stats`.  With no faults and no explicit
+timeout the engine arms no timeouts, and the default configuration
+reproduces the legacy engine byte for byte
+(``tests/test_engine_neutrality.py``).  See ``docs/architecture.md`` for
+the stage diagram.
 """
 
 from repro.parallel.engine.admission import (

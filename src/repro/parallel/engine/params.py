@@ -130,8 +130,12 @@ def validate_params(params: ClusterParams) -> None:
         value = getattr(params, name)
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if params.max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {params.max_retries}")
+    for name, minimum in (("pipeline_depth", 1), ("max_retries", 0)):
+        value = getattr(params, name)
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if not 0.0 <= params.retry_jitter <= 1.0:
         raise ValueError(
             f"retry_jitter must be in [0, 1], got {params.retry_jitter}"

@@ -364,7 +364,7 @@ class RequestPipeline:
 
         self.on_complete = submit_next
         try:
-            for _ in range(max(1, self.params.pipeline_depth)):
+            for _ in range(self.params.pipeline_depth):
                 submit_next()
             with PROFILER.phase("cluster.run"):
                 self.sim.run()

@@ -92,7 +92,8 @@ class ParallelGridFile:
             Optional :class:`repro.parallel.faults.FaultPlan` (or a bound
             :class:`~repro.parallel.faults.FaultInjector`) injecting crashes,
             slowdowns and message loss mid-run; see
-            :mod:`repro.parallel.cluster` for the degraded-mode protocol.
+            :mod:`repro.parallel.engine.degraded` for the degraded-mode
+            protocol.
         tracer:
             Optional :class:`repro.obs.Tracer` recording the run; with the
             default ``None`` the process-wide tracer applies (enabled only

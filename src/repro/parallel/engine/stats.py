@@ -146,10 +146,6 @@ class StatsCollector:
         self.completion[qid] = when
         self.shed.add(qid)
 
-    def latency_of(self, qid: int) -> float:
-        """Completion minus submission for query ``qid``."""
-        return float(self.completion[qid] - self.submit_time[qid])
-
     def build_report(
         self,
         *,

@@ -4,12 +4,10 @@ The static availability story (:func:`repro.parallel.apply_failures`)
 rewrites the assignment *before* a run; this module injects faults *while
 queries are in flight*, which is what a production deployment of parallel
 grid files actually survives.  A :class:`FaultPlan` is a schedule of
-:class:`FaultEvent`\\ s — deterministic, or drawn from seeded MTBF/MTTR
-exponentials via :meth:`FaultPlan.random_crashes` — and a
-:class:`FaultInjector` binds the plan to one engine run: at each event time
-it mutates the degradable per-node/per-disk state that
-the worker stage (:mod:`repro.parallel.engine.worker`) and the cost models
-consult.
+:class:`FaultEvent`\\ s, and a :class:`FaultInjector` binds the plan to one
+engine run: at each event time it mutates the degradable per-node/per-disk
+state that the worker stage (:mod:`repro.parallel.engine.worker`) and the
+cost models consult.
 
 Fault kinds
 -----------
@@ -37,8 +35,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro._util import as_rng
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjector", "FAULT_KINDS"]
 
@@ -120,56 +116,6 @@ class FaultPlan:
     def link_restore(self, time: float, node: int) -> "FaultPlan":
         """Restore ``node``'s link to lossless delivery."""
         return self.add(FaultEvent(time, "link_loss", node, loss_prob=0.0))
-
-    # -- stochastic generation ----------------------------------------------
-
-    @classmethod
-    def random_crashes(
-        cls,
-        n_nodes: int,
-        horizon: float,
-        mtbf: float,
-        mttr: float,
-        rng=None,
-        seed: int = 0,
-    ) -> "FaultPlan":
-        """Seeded crash/repair schedule from exponential MTBF/MTTR.
-
-        Each node independently alternates up intervals ~ Exp(``mtbf``) and
-        down intervals ~ Exp(``mttr``) over ``[0, horizon]``.  The same
-        ``rng`` seed always yields the same plan.
-
-        Parameters
-        ----------
-        n_nodes:
-            Cluster size.
-        horizon:
-            Length of simulated time to cover.
-        mtbf:
-            Mean time between failures (seconds of up time).
-        mttr:
-            Mean time to repair (seconds of down time).
-        rng:
-            Seed/generator for the schedule itself.
-        seed:
-            Seed for the run-time message-loss RNG (kept on the plan).
-        """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if mtbf <= 0 or mttr <= 0:
-            raise ValueError("mtbf and mttr must be positive")
-        rng = as_rng(rng)
-        plan = cls(seed=seed)
-        for node in range(int(n_nodes)):
-            t = float(rng.exponential(mtbf))
-            while t < horizon:
-                plan.node_crash(t, node)
-                t += float(rng.exponential(mttr))
-                if t >= horizon:
-                    break
-                plan.node_recover(t, node)
-                t += float(rng.exponential(mtbf))
-        return plan
 
     def sorted_events(self) -> list:
         """Events in chronological order (stable for equal times)."""

@@ -29,7 +29,7 @@ class WorkerNode:
     and ``disk_slowdown`` holds a per-local-disk service-time multiplier that
     :meth:`disk_service` applies on every read.  Crash/recovery bookkeeping
     feeds the alive-window utilization in
-    :class:`repro.parallel.cluster.PerfReport`.
+    :class:`repro.parallel.engine.stats.PerfReport`.
     """
 
     node_id: int

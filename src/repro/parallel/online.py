@@ -37,7 +37,7 @@ simulated resources.
 
 **Neutrality pin:** with a write-free workload and no monitor, an
 :class:`OnlineCluster` run is bit-for-bit identical to
-:meth:`repro.parallel.cluster.ParallelGridFile.run_queries` on the same
+:meth:`repro.parallel.engine.runners.ParallelGridFile.run_queries` on the same
 queries — the lazy per-submit planning sees an unmutated grid file, no
 online event ever fires, and no online metric instrument is created
 (``tests/test_online.py`` pins the report hashes against each other).
@@ -55,7 +55,7 @@ from repro.core.placement import PlacementPolicy, make_placement
 from repro.core.redistribute import bounded_reconcile
 from repro.gridfile.gridfile import GridFile
 from repro.obs import PROFILER
-from repro.parallel.cluster import ClusterParams, ParallelGridFile, PerfReport
+from repro.parallel.engine import ClusterParams, ParallelGridFile, PerfReport
 from repro.parallel.engine.pipeline import RequestPipeline
 from repro.parallel.stores import DurableGridFileStore, GridFileStore
 from repro.sim.workload import Operation
@@ -592,7 +592,7 @@ class OnlineCluster:
     n_disks:
         Total disks; multiple of ``params.disks_per_node``.
     params:
-        Cost model (:class:`repro.parallel.cluster.ClusterParams`).
+        Cost model (:class:`repro.parallel.engine.params.ClusterParams`).
         Replication is not supported online (writes to replicas are not
         modeled) — and with it the replica-balancing read policies.
         ``params.autoscale`` *is* supported: autoscaler replicas stay

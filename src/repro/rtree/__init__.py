@@ -25,14 +25,11 @@ from repro.rtree.decluster import (
     minimax_leaf_assignment,
     ssp_leaf_assignment,
 )
-from repro.rtree.persistence import load_rtree, save_rtree
 from repro.rtree.rtree import RTree, knn_query as rtree_knn_query
 
 __all__ = [
     "RTree",
-    "save_rtree",
     "rtree_knn_query",
-    "load_rtree",
     "leaf_regions",
     "hilbert_leaf_assignment",
     "minimax_leaf_assignment",

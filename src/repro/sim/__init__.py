@@ -29,9 +29,7 @@ from repro.sim.runner import MethodCurve, SweepResult, sweep_methods
 from repro.sim.workload import (
     Operation,
     animation_queries,
-    diurnal_queries,
     flash_crowd_queries,
-    hotspot_shift_queries,
     mixed_workload,
     partial_match_workload,
     square_queries,
@@ -54,9 +52,7 @@ __all__ = [
     "partial_match_workload",
     "Operation",
     "mixed_workload",
-    "diurnal_queries",
     "flash_crowd_queries",
-    "hotspot_shift_queries",
     "sweep_methods",
     "SweepResult",
     "MethodCurve",

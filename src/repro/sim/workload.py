@@ -23,9 +23,7 @@ __all__ = [
     "partial_match_workload",
     "Operation",
     "mixed_workload",
-    "diurnal_queries",
     "flash_crowd_queries",
-    "hotspot_shift_queries",
 ]
 
 
@@ -204,93 +202,6 @@ def square_queries(
     ]
 
 
-def _skewed_squares(
-    n: int,
-    ratio: float,
-    domain_lo: np.ndarray,
-    domain_hi: np.ndarray,
-    hot_centers: np.ndarray,
-    is_hot: np.ndarray,
-    width: float,
-    rng,
-) -> list[RangeQuery]:
-    """Square queries whose hot subset clusters around per-query centers.
-
-    Consumes exactly two rng draws per query row (one uniform vector, one
-    normal vector) regardless of the hot mask, so a generator's stream
-    depends only on ``(seed, n, d)`` — not on which queries ran hot.
-    """
-    extent = domain_hi - domain_lo
-    uniform = rng.uniform(domain_lo, domain_hi, size=(n, domain_lo.shape[0]))
-    jitter = rng.normal(0.0, width, size=(n, domain_lo.shape[0])) * extent
-    clustered = np.clip(hot_centers + jitter, domain_lo, domain_hi)
-    picked = np.where(is_hot[:, None], clustered, uniform)
-    return [
-        RangeQuery.square(c, ratio, domain_lo, domain_hi, clip=True) for c in picked
-    ]
-
-
-def diurnal_queries(
-    n: int,
-    ratio: float,
-    domain_lo,
-    domain_hi,
-    periods: float = 1.0,
-    hot_fraction: float = 0.8,
-    width: float = 0.05,
-    radius: float = 0.3,
-    rng=None,
-) -> list[RangeQuery]:
-    """A diurnal workload: the hot spot orbits the domain over the stream.
-
-    Query ``i`` (fraction ``i/n`` through the "day") is, with probability
-    ``hot_fraction``, clustered around a center that circles the domain
-    midpoint with the given ``radius`` — popularity drifts smoothly, the
-    regime an EWMA heat tracker should follow without thrash.  The rest are
-    the paper's uniform square queries.
-
-    Parameters
-    ----------
-    n:
-        Number of queries.
-    ratio:
-        Query volume fraction (as in :func:`square_queries`).
-    domain_lo, domain_hi:
-        Data domain (any dimensionality >= 1; the orbit phase-shifts per
-        dimension, so 2-d traces an ellipse).
-    periods:
-        Full orbits over the stream (> 0).
-    hot_fraction:
-        Probability a query joins the moving hot spot.
-    width:
-        Std-dev of the cluster around the orbit, as a fraction of the
-        domain extent (> 0).
-    radius:
-        Orbit radius as a fraction of the extent (0 <= radius <= 0.5).
-    rng:
-        Seed or generator.
-    """
-    check_positive_int(n, "n")
-    check_probability(hot_fraction, "hot_fraction")
-    if periods <= 0:
-        raise ValueError(f"periods must be positive, got {periods}")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    if not 0.0 <= radius <= 0.5:
-        raise ValueError(f"radius must be in [0, 0.5], got {radius}")
-    domain_lo = np.asarray(domain_lo, dtype=np.float64)
-    domain_hi = np.asarray(domain_hi, dtype=np.float64)
-    rng = as_rng(rng)
-    extent = domain_hi - domain_lo
-    mid = (domain_lo + domain_hi) / 2.0
-    phase = 2.0 * np.pi * periods * (np.arange(n) / n)
-    d = domain_lo.shape[0]
-    shifts = np.pi / 2.0 * np.arange(d)
-    orbit = mid + radius * extent * np.sin(phase[:, None] + shifts[None, :])
-    is_hot = rng.uniform(size=n) < hot_fraction
-    return _skewed_squares(n, ratio, domain_lo, domain_hi, orbit, is_hot, width, rng)
-
-
 def flash_crowd_queries(
     n: int,
     ratio: float,
@@ -351,59 +262,16 @@ def flash_crowd_queries(
     frac = np.arange(n) / n
     in_window = (frac >= start) & (frac < start + duration)
     is_hot = in_window & (rng.uniform(size=n) < intensity)
-    centers = np.broadcast_to(center, (n, domain_lo.shape[0]))
-    return _skewed_squares(n, ratio, domain_lo, domain_hi, centers, is_hot, width, rng)
-
-
-def hotspot_shift_queries(
-    n: int,
-    ratio: float,
-    domain_lo,
-    domain_hi,
-    shift_every: int = 64,
-    intensity: float = 0.9,
-    width: float = 0.04,
-    rng=None,
-) -> list[RangeQuery]:
-    """An adversarial workload: the hot spot teleports every ``shift_every``
-    queries.
-
-    Each epoch hammers a fresh random spot with probability ``intensity``
-    per query, then abandons it — the worst case for a replication
-    controller with memory, since every epoch's replicas are stale the
-    moment the next begins.  Tests the hysteresis/thrash trade-off: slow
-    eviction wastes budget on dead spots, eager eviction thrashes.
-
-    Parameters
-    ----------
-    n:
-        Number of queries.
-    ratio:
-        Query volume fraction.
-    domain_lo, domain_hi:
-        Data domain.
-    shift_every:
-        Queries per epoch (>= 1).
-    intensity:
-        Probability a query hits its epoch's spot.
-    width:
-        Std-dev of the cluster around each spot (extent fraction, > 0).
-    rng:
-        Seed or generator.
-    """
-    check_positive_int(n, "n")
-    check_positive_int(shift_every, "shift_every")
-    check_probability(intensity, "intensity")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    domain_lo = np.asarray(domain_lo, dtype=np.float64)
-    domain_hi = np.asarray(domain_hi, dtype=np.float64)
-    rng = as_rng(rng)
-    n_epochs = -(-n // shift_every)
-    spots = rng.uniform(domain_lo, domain_hi, size=(n_epochs, domain_lo.shape[0]))
-    centers = spots[np.arange(n) // shift_every]
-    is_hot = rng.uniform(size=n) < intensity
-    return _skewed_squares(n, ratio, domain_lo, domain_hi, centers, is_hot, width, rng)
+    # Two draws per query row (one uniform, one normal vector) whatever the
+    # hot mask, so the stream depends only on (seed, n, d).
+    extent = domain_hi - domain_lo
+    uniform = rng.uniform(domain_lo, domain_hi, size=(n, domain_lo.shape[0]))
+    jitter = rng.normal(0.0, width, size=(n, domain_lo.shape[0])) * extent
+    crowd = np.clip(center + jitter, domain_lo, domain_hi)
+    picked = np.where(is_hot[:, None], crowd, uniform)
+    return [
+        RangeQuery.square(c, ratio, domain_lo, domain_hi, clip=True) for c in picked
+    ]
 
 
 def animation_queries(

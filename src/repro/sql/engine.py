@@ -4,7 +4,7 @@ Every table is a *live* declustered grid file.  Reads and writes travel
 the same simulated paths as every other workload in the repo:
 
 * Each ``SELECT`` becomes one routed range query through the static
-  cluster engine (:class:`repro.parallel.cluster.ParallelGridFile` /
+  cluster engine (:class:`repro.parallel.engine.runners.ParallelGridFile` /
   :class:`repro.parallel.engine.pipeline.RequestPipeline`) — consecutive
   ``SELECT``\\ s on the same table are batched into one run, so a SQL
   script produces the *same* :class:`PerfReport` as the equivalent
@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.gridfile.gridfile import GridFile
 from repro.obs import PROFILER, MetricsRegistry
-from repro.parallel.cluster import ClusterParams, ParallelGridFile, PerfReport
+from repro.parallel.engine import ClusterParams, ParallelGridFile, PerfReport
 from repro.parallel.online import OnlineCluster, OnlineReport
 from repro.parallel.stores import make_store
 from repro.rtree.rtree import RTree

@@ -446,6 +446,7 @@ class TestOnlineSimStorage:
         ["online-sim", "uniform.2d", "--disks", "0"],
         ["fault-sim", "uniform.2d", "--crash-node", "-1"],
         ["autoscale-sim", "uniform.2d", "--queries", "-3"],
+        ["autoscale-sim", "uniform.2d", "--pipeline-depth", "0"],
         ["open-sim", "uniform.2d", "--rate", "0"],
         ["experiment", "fig99"],
         ["online-sim", "uniform.2d", "--write-ratio", "2"],

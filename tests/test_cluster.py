@@ -242,6 +242,24 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match=field):
             ParallelGridFile(gf, assignment, 8, ClusterParams(**{field: value}))
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_rejects_pipeline_depth_below_one(self, deployed, depth):
+        gf, assignment = deployed
+        with pytest.raises(ValueError, match="pipeline_depth"):
+            ParallelGridFile(gf, assignment, 8, ClusterParams(pipeline_depth=depth))
+
+    @pytest.mark.parametrize("field", ["pipeline_depth", "max_retries"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_rejects_non_integer_counts(self, deployed, field, value):
+        gf, assignment = deployed
+        with pytest.raises(ValueError, match=field):
+            ParallelGridFile(gf, assignment, 8, ClusterParams(**{field: value}))
+
+    def test_numpy_integer_counts_are_allowed(self, deployed, rng):
+        queries = square_queries(5, 0.1, [0, 0], [2000, 2000], rng=rng)
+        perf = run(*deployed, 8, queries, pipeline_depth=np.int64(2), max_retries=np.int32(0))
+        assert perf.n_queries == 5
+
     def test_zero_constants_are_allowed(self, deployed, rng):
         gf, assignment = deployed
         queries = square_queries(5, 0.1, [0, 0], [2000, 2000], rng=rng)

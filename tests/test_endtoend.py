@@ -9,9 +9,9 @@ would follow, exercising every package boundary in one pass.
 from repro.core import Minimax, recommend
 from repro.core.redistribute import minimax_expand, movement_fraction
 from repro.datasets import build_gridfile, load
-from repro.gridfile import load_gridfile, save_gridfile
 from repro.parallel import ClusterParams, ParallelGridFile, apply_failures
 from repro.sim import evaluate_queries, square_queries
+from repro.storage import DurableGridFile
 
 
 def test_full_lifecycle(tmp_path):
@@ -21,8 +21,10 @@ def test_full_lifecycle(tmp_path):
     gf.check_invariants()
 
     # 2. Persist and reload (the file outlives the process).
-    save_gridfile(gf, tmp_path / "dsmc.npz")
-    gf = load_gridfile(tmp_path / "dsmc.npz")
+    DurableGridFile.create(gf, tmp_path / "dsmc").close()
+    store = DurableGridFile.open(tmp_path / "dsmc")
+    gf = store.gf
+    store.close()
     gf.check_invariants()
 
     # 3. Advisor picks a method on a training sample.

@@ -59,25 +59,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             plan.validate(n_nodes=8, disks_per_node=2)
 
-    def test_random_crashes_deterministic(self):
-        p1 = FaultPlan.random_crashes(8, horizon=10.0, mtbf=3.0, mttr=1.0, rng=5)
-        p2 = FaultPlan.random_crashes(8, horizon=10.0, mtbf=3.0, mttr=1.0, rng=5)
-        assert [(e.time, e.kind, e.node) for e in p1.events] == [
-            (e.time, e.kind, e.node) for e in p2.events
-        ]
-        # Crashes and recoveries alternate per node, inside the horizon.
-        for node in range(8):
-            kinds = [e.kind for e in p1.sorted_events() if e.node == node]
-            assert all(k == "node_crash" for k in kinds[::2])
-            assert all(k == "node_recover" for k in kinds[1::2])
-        assert all(0 <= e.time < 10.0 for e in p1.events)
-
-    def test_random_crashes_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            FaultPlan.random_crashes(4, horizon=0.0, mtbf=1.0, mttr=1.0)
-        with pytest.raises(ValueError):
-            FaultPlan.random_crashes(4, horizon=1.0, mtbf=-1.0, mttr=1.0)
-
     def test_injector_single_use(self, deployed16):
         gf, a = deployed16
         queries = square_queries(5, 0.05, [0, 0], [2000, 2000], rng=1)

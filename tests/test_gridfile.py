@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridfile import GridFile
+from repro.gridfile import GridFile, PartialMatchQuery
 from tests.conftest import brute_force_query
 
 
@@ -267,14 +267,10 @@ class TestQueries:
 class TestPartialMatch:
     def test_pinned_dimension(self, small_gridfile):
         gf = small_gridfile
-        bids = gf.partial_match_buckets({0: 1000.0})
+        q = PartialMatchQuery({0: 1000.0}).as_range(gf.scales.domain_lo, gf.scales.domain_hi)
         # Equivalent degenerate range query.
         want = gf.query_buckets([1000.0, 0.0], [1000.0, 2000.0])
-        assert np.array_equal(bids, want)
-
-    def test_rejects_bad_dim(self, small_gridfile):
-        with pytest.raises(ValueError):
-            small_gridfile.partial_match_buckets({5: 1.0})
+        assert np.array_equal(gf.query_buckets(q.lo, q.hi), want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridfile import GridFile, load_gridfile, save_gridfile
+from repro.gridfile import GridFile
 from tests.conftest import brute_force_query
 
 
@@ -143,23 +143,6 @@ class TestBuddyMerge:
         # Empty file is still insertable.
         gf.insert_point([1.0, 1.0])
         gf.check_invariants()
-
-
-class TestDeletePersistence:
-    def test_roundtrip_preserves_deletions(self, rng, tmp_path):
-        pts = rng.uniform(0, 100, size=(60, 2))
-        gf = build(pts)
-        gf.delete_records([1, 5, 9])
-        p = tmp_path / "gf.npz"
-        save_gridfile(gf, p)
-        back = load_gridfile(p)
-        back.check_invariants()
-        assert back.n_records == 57
-        assert back.n_deleted == 3
-        assert np.array_equal(
-            back.query_records([0, 0], [100, 100]),
-            gf.query_records([0, 0], [100, 100]),
-        )
 
 
 @settings(max_examples=25, deadline=None)

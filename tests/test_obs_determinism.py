@@ -6,7 +6,7 @@ Three guarantees:
   records (wall-clock appears only in the JSONL ``meta`` header and in
   ``phase`` records, never in the causal portion).
 * **Tracing neutrality** — a traced run and an untraced run produce the
-  same :class:`~repro.parallel.cluster.PerfReport`, number for number.
+  same :class:`~repro.parallel.engine.stats.PerfReport`, number for number.
 * **Golden outputs** — with tracing disabled (the default), the fig6 /
   fig7 / table2 experiment data and a replicated fault-injected cluster
   run hash to the exact values captured before the observability layer

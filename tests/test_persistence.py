@@ -1,60 +1,11 @@
-"""Tests for grid-file serialization and the declustered disk layout."""
+"""Tests for the declustered per-disk file layout."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.gridfile import (
-    export_declustered,
-    load_gridfile,
-    save_gridfile,
-)
-
-
-class TestRoundTrip:
-    def test_save_load_preserves_structure(self, small_gridfile, tmp_path):
-        p = tmp_path / "gf.npz"
-        save_gridfile(small_gridfile, p)
-        back = load_gridfile(p)
-        back.check_invariants()
-        assert back.n_records == small_gridfile.n_records
-        assert back.n_buckets == small_gridfile.n_buckets
-        assert back.capacity == small_gridfile.capacity
-        assert back.split_policy == small_gridfile.split_policy
-        assert np.array_equal(back.directory.grid, small_gridfile.directory.grid)
-        assert np.array_equal(back.coords(), small_gridfile.coords())
-
-    def test_save_load_preserves_queries(self, small_gridfile, tmp_path, rng):
-        p = tmp_path / "gf.npz"
-        save_gridfile(small_gridfile, p)
-        back = load_gridfile(p)
-        for _ in range(10):
-            lo = rng.uniform(0, 1000, 2)
-            hi = lo + rng.uniform(0, 800, 2)
-            assert np.array_equal(
-                back.query_records(lo, hi), small_gridfile.query_records(lo, hi)
-            )
-
-    def test_overflow_flags_preserved(self, tmp_path):
-        from repro.gridfile import GridFile
-
-        gf = GridFile.empty([0, 0], [1, 1], capacity=2)
-        for _ in range(5):
-            gf.insert_point([0.5, 0.5])
-        p = tmp_path / "gf.npz"
-        save_gridfile(gf, p)
-        back = load_gridfile(p)
-        assert back.stats().n_overflowed == gf.stats().n_overflowed
-
-    def test_insert_after_load(self, small_gridfile, tmp_path):
-        p = tmp_path / "gf.npz"
-        save_gridfile(small_gridfile, p)
-        back = load_gridfile(p)
-        before = back.n_records
-        back.insert_point([123.0, 456.0])
-        assert back.n_records == before + 1
-        back.check_invariants()
+from repro.gridfile import export_declustered
 
 
 class TestExportDeclustered:

@@ -1,4 +1,4 @@
-"""Tests for the array-backed STR R-tree (build, queries, persistence)."""
+"""Tests for the array-backed STR R-tree (build and queries)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import euclidean_norms
-from repro.rtree import RTree, load_rtree, rtree_knn_query, save_rtree
+from repro.rtree import RTree, rtree_knn_query
 from tests.conftest import brute_force_query
 from tests.oracles import str_rtree_reference
 
@@ -152,59 +152,3 @@ class TestEquivalenceWithGridFile:
             lo = rng.uniform(0, 70, 2)
             hi = lo + rng.uniform(0, 30, 2)
             assert np.array_equal(t.query_records(lo, hi), gf.query_records(lo, hi))
-
-
-class TestPersistence:
-    def test_roundtrip_structure(self, rng, tmp_path):
-        pts = rng.uniform(0, 1, size=(800, 2))
-        t = RTree.bulk_load(pts, max_entries=25)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        assert back.max_entries == 25
-        assert back.n_records == t.n_records
-        assert back.height() == t.height()
-        assert_matches_reference(back, pts, 25)
-
-    def test_roundtrip_preserves_leaf_order(self, rng, tmp_path):
-        """Leaf order is the declustering domain: it must survive."""
-        pts = rng.uniform(0, 1, size=(500, 2))
-        t = RTree.bulk_load(pts, max_entries=20)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        assert np.array_equal(back.order, t.order)
-        assert np.array_equal(back.leaf_start, t.leaf_start)
-        for a, b in zip(t.lo + t.hi, back.lo + back.hi):
-            assert np.array_equal(a, b)
-
-    def test_roundtrip_queries(self, rng, tmp_path):
-        pts = rng.uniform(0, 10, size=(400, 3))
-        t = RTree.bulk_load(pts, max_entries=12)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        lo, hi = np.full(3, 2.0), np.full(3, 7.0)
-        assert np.array_equal(back.query_records(lo, hi), t.query_records(lo, hi))
-
-    def test_empty_tree_roundtrip(self, tmp_path):
-        t = RTree(2, max_entries=8)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        assert back.n_records == 0
-        assert back.dims == 2
-        assert back.n_leaves == 1
-
-    def test_node_list_archive_refused(self, tmp_path):
-        """Archives of the older per-node format are rejected, not misread."""
-        p = tmp_path / "old.npz"
-        np.savez_compressed(
-            p,
-            points=np.zeros((1, 2)),
-            is_leaf=np.array([True]),
-            entries=np.array([0]),
-            offsets=np.array([0, 1]),
-        )
-        with pytest.raises(ValueError):
-            load_rtree(p)

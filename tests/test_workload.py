@@ -8,9 +8,7 @@ import pytest
 
 from repro.sim import (
     animation_queries,
-    diurnal_queries,
     flash_crowd_queries,
-    hotspot_shift_queries,
     mixed_workload,
     square_queries,
 )
@@ -187,39 +185,6 @@ class TestMixedWorkloadNeutrality:
             assert np.array_equal(op.query.hi, q.hi)
 
 
-class TestDiurnalQueries:
-    def test_count_and_reproducible(self):
-        a = diurnal_queries(100, 0.01, LO2, HI2, rng=5)
-        b = diurnal_queries(100, 0.01, LO2, HI2, rng=5)
-        assert len(a) == 100
-        for qa, qb in zip(a, b):
-            assert np.array_equal(qa.lo, qb.lo)
-
-    def test_hot_spot_orbits(self):
-        """Hot queries track the moving center: consecutive windows of a
-        fully-hot stream have nearby centroids that drift over the day."""
-        qs = diurnal_queries(
-            400, 0.01, LO2, HI2, hot_fraction=1.0, width=0.01, rng=5
-        )
-        c = _centers(qs)
-        early = c[:50].mean(axis=0)
-        late = c[200:250].mean(axis=0)
-        # half a period later the orbit is on the other side of the domain
-        assert np.linalg.norm(early - late) > 500
-        # within a window the crowd is tight around the orbit
-        assert c[:50].std(axis=0).max() < 200
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            diurnal_queries(10, 0.01, LO2, HI2, periods=0.0)
-        with pytest.raises(ValueError):
-            diurnal_queries(10, 0.01, LO2, HI2, width=0.0)
-        with pytest.raises(ValueError):
-            diurnal_queries(10, 0.01, LO2, HI2, radius=0.7)
-        with pytest.raises(ValueError):
-            diurnal_queries(10, 0.01, LO2, HI2, hot_fraction=1.5)
-
-
 class TestFlashCrowdQueries:
     def test_crowd_confined_to_window(self):
         center = np.array([500.0, 500.0])
@@ -255,23 +220,3 @@ class TestFlashCrowdQueries:
             flash_crowd_queries(10, 0.01, LO2, HI2, start=1.5)
         with pytest.raises(ValueError):
             flash_crowd_queries(10, 0.01, LO2, HI2, center=[1.0, 2.0, 3.0])
-
-
-class TestHotspotShiftQueries:
-    def test_epochs_hit_distinct_spots(self):
-        qs = hotspot_shift_queries(
-            300, 0.01, LO2, HI2, shift_every=100, intensity=1.0,
-            width=0.005, rng=5,
-        )
-        c = _centers(qs)
-        spots = [c[i * 100 : (i + 1) * 100].mean(axis=0) for i in range(3)]
-        for i in range(3):
-            assert c[i * 100 : (i + 1) * 100].std(axis=0).max() < 100
-            for j in range(i + 1, 3):
-                assert np.linalg.norm(spots[i] - spots[j]) > 200
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hotspot_shift_queries(10, 0.01, LO2, HI2, shift_every=0)
-        with pytest.raises(ValueError):
-            hotspot_shift_queries(10, 0.01, LO2, HI2, width=0.0)
