@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_positive_int", "check_dimension", "check_probability"]
+__all__ = ["check_positive_int", "check_int_field", "check_dimension", "check_probability"]
 
 
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
@@ -23,6 +23,15 @@ def check_positive_int(value, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_int_field(value, name: str, minimum: int) -> None:
+    """Raise ``ValueError`` naming a record field unless ``value`` is an int
+    (not a bool; numpy integers pass) that is at least ``minimum``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_dimension(d, name: str = "dimensionality") -> int:

@@ -12,8 +12,8 @@ a live :class:`~repro.obs.Tracer`) into a plain-dict summary:
 * phase timings (``phase`` records) and the final metrics snapshot.
 
 :func:`diff_summaries` aligns two summaries key by key and reports deltas —
-the regression-hunting workflow is ``repro trace record`` before and after
-a change, then ``repro trace diff old.jsonl new.jsonl``.
+the regression-hunting workflow is ``repro run NAME --trace OUT`` before and
+after a change, then ``repro trace diff old.jsonl new.jsonl``.
 """
 
 from __future__ import annotations

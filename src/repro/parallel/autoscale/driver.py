@@ -16,6 +16,7 @@ it with data is charged block by block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,8 +50,8 @@ class ScalePlan:
         self.events: list[ScaleEvent] = []
 
     def _add(self, event: ScaleEvent) -> "ScalePlan":
-        if event.time < 0:
-            raise ValueError(f"event time must be >= 0, got {event.time}")
+        if not 0 <= event.time < math.inf:
+            raise ValueError(f"time must be finite and >= 0, got {event.time}")
         self.events.append(event)
         return self
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._util.validate import check_int_field
+
 __all__ = ["AutoscaleParams"]
 
 
@@ -44,20 +46,17 @@ class AutoscaleParams:
     max_actions: int = 8
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        for name, minimum in (
+            ("budget", 0), ("interval", 1), ("min_dwell", 0), ("max_actions", 1)
+        ):
+            check_int_field(getattr(self, name), name, minimum)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.add_heat < 0 or self.evict_heat < 0:
-            raise ValueError("heat watermarks must be non-negative")
+        for name in ("add_heat", "evict_heat"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.evict_heat > self.add_heat:
             raise ValueError(
                 f"evict_heat ({self.evict_heat}) must not exceed "
                 f"add_heat ({self.add_heat}) — the gap is the hysteresis band"
             )
-        if self.min_dwell < 0:
-            raise ValueError(f"min_dwell must be >= 0, got {self.min_dwell}")
-        if self.max_actions < 1:
-            raise ValueError(f"max_actions must be >= 1, got {self.max_actions}")

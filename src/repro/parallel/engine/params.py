@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro._util.validate import check_int_field
 from repro.parallel.disk import DiskModel
 from repro.parallel.network import NetworkModel
 
@@ -120,9 +121,9 @@ _NON_NEGATIVE = (
 def validate_params(params: ClusterParams) -> None:
     """Raise ``ValueError`` for out-of-range or inconsistent knobs.
 
-    Policy *names* (scheduler, replica policy) are validated by their
-    registries at pipeline construction; this checks the numeric knobs and
-    the cross-field constraints.
+    Checks the numeric knobs, the policy *names* (scheduler, replica
+    policy; their registries list the valid choices) and the cross-field
+    constraints.
     """
     if not params.disks_per_node >= 1:
         raise ValueError(f"disks_per_node must be >= 1, got {params.disks_per_node}")
@@ -130,24 +131,19 @@ def validate_params(params: ClusterParams) -> None:
         value = getattr(params, name)
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    for name, minimum in (("pipeline_depth", 1), ("max_retries", 0)):
-        value = getattr(params, name)
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    ints = [("pipeline_depth", 1), ("max_retries", 0), ("cache_blocks", 0)]
+    if params.max_inflight is not None:
+        ints.append(("max_inflight", 1))
+    for name, minimum in ints:
+        check_int_field(getattr(params, name), name, minimum)
     if not 0.0 <= params.retry_jitter <= 1.0:
         raise ValueError(
             f"retry_jitter must be in [0, 1], got {params.retry_jitter}"
         )
-    if params.request_timeout is not None and params.request_timeout <= 0:
-        raise ValueError(
-            f"request_timeout must be positive, got {params.request_timeout}"
-        )
-    if params.max_inflight is not None and params.max_inflight < 1:
-        raise ValueError(f"max_inflight must be >= 1, got {params.max_inflight}")
-    if params.deadline is not None and params.deadline <= 0:
-        raise ValueError(f"deadline must be positive, got {params.deadline}")
+    for name in ("request_timeout", "deadline"):
+        value = getattr(params, name)
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if params.autoscale is not None:
         from repro.parallel.autoscale.policy import make_autoscale_policy
 
@@ -165,9 +161,12 @@ def validate_params(params: ClusterParams) -> None:
                     f"autoscale policy {policy.name!r} owns read routing; "
                     "replica_policy must stay 'primary-only'"
                 )
-    # Unknown policy names fall through to the registry's own error
-    # (make_replica_policy lists the valid choices).
-    from repro.parallel.engine.replicas import REPLICA_POLICIES
+    # The registries check the policy names and list the valid choices.
+    from repro.parallel.engine.replicas import REPLICA_POLICIES, make_replica_policy
+    from repro.parallel.engine.scheduling import make_scheduler
+
+    make_scheduler(params.scheduler)
+    make_replica_policy(params.replica_policy)
 
     if (
         params.replica_policy in REPLICA_POLICIES

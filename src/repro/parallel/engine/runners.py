@@ -10,6 +10,7 @@ declustered load of §3.5 analytically (no pipeline involved).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,6 @@ from repro.parallel.des import Resource
 from repro.parallel.engine.admission import make_admission
 from repro.parallel.engine.params import ClusterParams, validate_params
 from repro.parallel.engine.pipeline import RequestPipeline
-from repro.parallel.engine.replicas import make_replica_policy
-from repro.parallel.engine.scheduling import make_scheduler
 from repro.parallel.engine.stats import PerfReport
 from repro.parallel.replication import replica_assignment
 
@@ -65,10 +64,6 @@ class ParallelGridFile:
                 np.asarray(assignment, dtype=np.int64), int(n_disks), self.params.replication
             )
         validate_params(self.params)
-        # Resolve the policy names eagerly so bad configurations fail at
-        # construction, not mid-run.
-        make_scheduler(self.params.scheduler)
-        make_replica_policy(self.params.replica_policy)
         self.coordinator = Coordinator(
             store,
             assignment,
@@ -130,8 +125,8 @@ class ParallelGridFile:
         tracer:
             Optional :class:`repro.obs.Tracer` (see :meth:`run_queries`).
         """
-        if arrival_rate <= 0:
-            raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
+        if not 0 < arrival_rate < math.inf:
+            raise ValueError(f"arrival_rate must be finite and positive, got {arrival_rate}")
         rng = as_rng(rng)
         engine = RequestPipeline(self, queries, faults=faults, tracer=tracer)
         arrivals = np.cumsum(rng.exponential(1.0 / arrival_rate, size=len(engine.queries)))

@@ -31,6 +31,7 @@ points of lossy links — so the same plan + seed reproduces a run exactly.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -62,12 +63,12 @@ class FaultEvent:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}")
-        if self.time < 0:
-            raise ValueError(f"fault time must be non-negative, got {self.time}")
-        if self.factor <= 0:
-            raise ValueError(f"slowdown factor must be positive, got {self.factor}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"time must be finite and non-negative, got {self.time}")
+        if not 0 < self.factor < math.inf:
+            raise ValueError(f"factor must be finite and positive, got {self.factor}")
         if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {self.loss_prob}")
+            raise ValueError(f"loss_prob must be in [0, 1], got {self.loss_prob}")
 
 
 @dataclass

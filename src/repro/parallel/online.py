@@ -85,9 +85,9 @@ class DegradationMonitor:
     def __post_init__(self):
         if self.window < 1 or self.cooldown < 0:
             raise ValueError("window must be >= 1 and cooldown >= 0")
-        if self.threshold < 1.0:
+        if not self.threshold >= 1.0:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        if self.budget < 0:
+        if not self.budget >= 0:
             raise ValueError(f"budget must be non-negative, got {self.budget}")
 
 

@@ -246,9 +246,9 @@ def flash_crowd_queries(
     check_positive_int(n, "n")
     check_probability(intensity, "intensity")
     check_probability(start, "start")
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    if width <= 0:
+    if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
     domain_lo = np.asarray(domain_lo, dtype=np.float64)
     domain_hi = np.asarray(domain_hi, dtype=np.float64)

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.gridfile.gridfile import GridFile
 from repro.obs import PROFILER, MetricsRegistry
-from repro.parallel.engine import ClusterParams, ParallelGridFile, PerfReport
+from repro.parallel.engine import ClusterParams, ParallelGridFile, PerfReport, validate_params
 from repro.parallel.online import OnlineCluster, OnlineReport
 from repro.parallel.stores import make_store
 from repro.rtree.rtree import RTree
@@ -86,8 +86,6 @@ class SqlTable:
         )
         path = None
         if store_backend != "memory":
-            if store_path is None:
-                raise SqlError(f"store backend {store_backend!r} requires a path")
             path = os.path.join(store_path, f"{self.name}.gfdb")
         self.store = make_store(
             self.gf, backend=store_backend, path=path, durability=wal_sync
@@ -141,7 +139,12 @@ class SqlEngine:
         construction.
     store_backend, store_path, wal_sync:
         Storage backend per table (``memory`` / ``file``; ``file``
-        persists under ``store_path/<table>.gfdb``).
+        persists under ``store_path/<table>.gfdb``, which it requires) and
+        its WAL durability mode (one of
+        :data:`repro.storage.DURABILITY_MODES`).
+
+    Every setting is checked here, at construction, so a bad one fails
+    before the first statement runs.
     """
 
     def __init__(
@@ -155,14 +158,26 @@ class SqlEngine:
         wal_sync: str = "commit",
         seed: int = 1996,
     ):
+        from repro.core.placement import make_placement
         from repro.core.registry import make_method
+        from repro.storage import BLOCK_STORES, DURABILITY_MODES
 
         self.n_disks = int(n_disks)
         self.params = params or ClusterParams()
+        validate_params(self.params)
+        make_placement(placement)
         self.placement = placement
         self.method = method
         if method is not None:
             make_method(method)  # fail fast on a bad spec
+        if store_backend not in BLOCK_STORES:
+            raise ValueError(
+                f"unknown store backend {store_backend!r}; choose from {sorted(BLOCK_STORES)}"
+            )
+        if store_backend != "memory" and store_path is None:
+            raise ValueError(f"store backend {store_backend!r} requires a store_path")
+        if wal_sync not in DURABILITY_MODES:
+            raise ValueError(f"unknown wal_sync {wal_sync!r}; choose from {DURABILITY_MODES}")
         self.store_backend = store_backend
         self.store_path = store_path
         self.wal_sync = wal_sync

@@ -86,10 +86,14 @@ def test_heat_tracker_rejects_bad_alpha():
         dict(add_heat=0.5, evict_heat=0.9),  # evict above add
         dict(min_dwell=-1),
         dict(max_actions=0),
+        dict(add_heat=float("nan")),
+        dict(evict_heat=float("nan")),
+        dict(budget=1.5),
+        dict(interval=2.5),
     ],
 )
 def test_autoscale_params_validation(kw):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kw))):
         AutoscaleParams(**kw)
 
 
@@ -361,8 +365,9 @@ def test_engine_params_reject_conflicting_replication(deployment):
 
 
 def test_scale_plan_validation():
-    with pytest.raises(ValueError):
-        ScalePlan().join(-1.0)
+    for time in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time"):
+            ScalePlan().join(time)
     with pytest.raises(ValueError):
         ScalePlan().join(1.0, disks=0)
     with pytest.raises(ValueError):

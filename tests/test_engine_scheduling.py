@@ -103,6 +103,14 @@ class TestRegistries:
             ParallelGridFile(gf, a, 8, ClusterParams(max_inflight=0))
         with pytest.raises(ValueError, match="deadline"):
             ParallelGridFile(gf, a, 8, ClusterParams(deadline=0.0))
+        for kw in (
+            dict(deadline=float("nan")),
+            dict(request_timeout=float("nan")),
+            dict(max_inflight=1.5),
+            dict(cache_blocks=-1),
+        ):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                ParallelGridFile(gf, a, 8, ClusterParams(**kw))
         with pytest.raises(ValueError, match="requires ClusterParams.replication"):
             ParallelGridFile(
                 gf, a, 8, ClusterParams(replica_policy="least-loaded-alive")

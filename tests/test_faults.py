@@ -48,6 +48,11 @@ class TestFaultPlan:
             FaultEvent(1.0, "disk_slowdown", 0, factor=0.0)
         with pytest.raises(ValueError):
             FaultEvent(1.0, "link_loss", 0, loss_prob=1.5)
+        for time in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time"):
+                FaultEvent(time, "node_crash", 0)
+        with pytest.raises(ValueError, match="factor"):
+            FaultEvent(1.0, "disk_slowdown", 0, factor=float("nan"))
 
     def test_plan_validate_node_range(self):
         plan = crash_plan(node=9)

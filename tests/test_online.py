@@ -132,6 +132,14 @@ class TestMixedWorkload:
             mixed_workload(10, 1.5, *DOMAIN)
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(threshold=float("nan")), dict(budget=float("nan")), dict(threshold=0.5)]
+)
+def test_degradation_monitor_rejects_bad_values(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        DegradationMonitor(**kw)
+
+
 class TestOnlineEngine:
     @pytest.fixture
     def deployed(self):

@@ -63,8 +63,9 @@ class TestRunOpen:
 
     def test_rejects_bad_rate(self, system):
         pgf, queries = system
-        with pytest.raises(ValueError):
-            pgf.run_open(queries, arrival_rate=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="arrival_rate"):
+                pgf.run_open(queries, arrival_rate=rate)
 
     def test_closed_mode_latencies_filled(self, system):
         pgf, queries = system

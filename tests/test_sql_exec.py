@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.parallel import ClusterParams
 from repro.sql import NaiveDatabase, SqlEngine, SqlError, parse_script
 
 pytestmark = pytest.mark.sql
@@ -260,3 +261,19 @@ class TestMethodOverride:
             SqlEngine(method="nope")
         with pytest.raises(ValueError, match="bad method spec"):
             SqlEngine(method="lsq//")
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(store_backend="tape"), "store backend"),
+        (dict(store_backend="file"), "store_path"),
+        (dict(wal_sync="sometimes"), "wal_sync"),
+        (dict(params=ClusterParams(deadline=float("nan"))), "deadline"),
+        (dict(params=ClusterParams(scheduler="elevator")), "scheduler"),
+        (dict(params=ClusterParams(replica_policy="psychic")), "replica policy"),
+    ],
+)
+def test_bad_settings_rejected_at_construction(kw, match):
+    with pytest.raises(ValueError, match=match):
+        SqlEngine(**kw)

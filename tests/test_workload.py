@@ -220,3 +220,6 @@ class TestFlashCrowdQueries:
             flash_crowd_queries(10, 0.01, LO2, HI2, start=1.5)
         with pytest.raises(ValueError):
             flash_crowd_queries(10, 0.01, LO2, HI2, center=[1.0, 2.0, 3.0])
+        for name in ("duration", "width"):
+            with pytest.raises(ValueError, match=name):
+                flash_crowd_queries(10, 0.01, LO2, HI2, **{name: float("nan")})
